@@ -3,7 +3,9 @@
 The paper motivates few-variable classification with real-time constraints
 (§1: a distinguisher has only the processor's per-instruction throughput).
 These benchmarks measure our pipeline's classification latency per window
-and the substrate's capture throughput.
+and the substrate's capture throughput.  Each ``*_reference`` row times the
+slow test oracle (``tests/oracles``) a fast path is checked against, so
+``export_throughput.py`` can report ``speedup_vs_reference``.
 """
 
 import numpy as np
@@ -17,6 +19,12 @@ from repro.ml import OneVsOneClassifier, QDA
 from repro.power import Acquisition, PowerModel
 from repro.sim import AvrCpu
 from repro.util.knobs import get_int
+from tests.oracles import (
+    dnvp_fit,
+    ovo_fit,
+    predict_instructions,
+    render_events,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,15 +59,20 @@ def test_compiled_classify_throughput(benchmark, fitted_level):
     assert len(result) == len(windows)
 
 
-def test_compiled_classify_reference_throughput(
-    benchmark, fitted_level, monkeypatch
-):
-    """Staged per-stage classify baseline (REPRO_COMPILED_INFER=0)."""
-    monkeypatch.setenv("REPRO_COMPILED_INFER", "0")
+def test_compiled_classify_reference_throughput(benchmark, fitted_level):
+    """Staged per-stage classify baseline: CWT points, PCA, QDA predict."""
     model, test = fitted_level
     windows = test.traces
+    pipeline, classifier = model.pipeline, model.classifier
 
-    result = benchmark(lambda: model.predict(windows))
+    def staged():
+        values = pipeline._cwt.transform_points(windows, pipeline.points)
+        features = pipeline.pca.transform(
+            pipeline._normalize(values, fit=False)
+        )
+        return classifier.predict(features)
+
+    result = benchmark(staged)
     assert len(result) == len(windows)
 
 
@@ -157,7 +170,7 @@ def test_dnvp_selector_fit_throughput(benchmark, selector_stats):
     """Batched DNVP selection: all pair fields from stacked statistics."""
     selector = benchmark(
         lambda: DnvpSelector(kl_threshold="auto:0.6", top_k=5).fit(
-            selector_stats, batched=True
+            selector_stats
         )
     )
     assert len(selector.points) > 0
@@ -166,8 +179,8 @@ def test_dnvp_selector_fit_throughput(benchmark, selector_stats):
 def test_dnvp_selector_fit_reference_throughput(benchmark, selector_stats):
     """Serial per-pair selection baseline (identical output)."""
     selector = benchmark(
-        lambda: DnvpSelector(kl_threshold="auto:0.6", top_k=5).fit_reference(
-            selector_stats
+        lambda: dnvp_fit(
+            DnvpSelector(kl_threshold="auto:0.6", top_k=5), selector_stats
         )
     )
     assert len(selector.points) > 0
@@ -185,9 +198,8 @@ def _train_level(train_set):
     )
 
 
-def test_level_train_throughput(benchmark, train_set, monkeypatch):
+def test_level_train_throughput(benchmark, train_set):
     """End-to-end level training on the batched fast path."""
-    monkeypatch.setenv("REPRO_BATCHED_TRAIN", "1")
     model = benchmark.pedantic(
         lambda: _train_level(train_set),
         rounds=3, iterations=1, warmup_rounds=1,
@@ -196,8 +208,9 @@ def test_level_train_throughput(benchmark, train_set, monkeypatch):
 
 
 def test_level_train_reference_throughput(benchmark, train_set, monkeypatch):
-    """Same training through the serial reference paths (identical model)."""
-    monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
+    """Same training with the selection and OvO-fit oracles swapped in."""
+    monkeypatch.setattr(DnvpSelector, "fit", dnvp_fit)
+    monkeypatch.setattr(OneVsOneClassifier, "fit", ovo_fit)
     model = benchmark.pedantic(
         lambda: _train_level(train_set),
         rounds=2, iterations=1, warmup_rounds=1,
@@ -216,9 +229,8 @@ def ovo_problem():
     return X.reshape(-1, dim), y
 
 
-def test_ovo_fit_throughput(benchmark, ovo_problem, monkeypatch):
+def test_ovo_fit_throughput(benchmark, ovo_problem):
     """Shared-sufficient-statistic one-vs-one fitting (66 QDA pairs)."""
-    monkeypatch.setenv("REPRO_BATCHED_TRAIN", "1")
     X, y = ovo_problem
     clf = benchmark(lambda: OneVsOneClassifier(QDA()).fit(X, y))
     assert clf.predict(X[:4]).shape == (4,)
@@ -227,7 +239,7 @@ def test_ovo_fit_throughput(benchmark, ovo_problem, monkeypatch):
 def test_ovo_fit_reference_throughput(benchmark, ovo_problem):
     """Per-pair refitting baseline (identical classifiers)."""
     X, y = ovo_problem
-    clf = benchmark(lambda: OneVsOneClassifier(QDA()).fit_reference(X, y))
+    clf = benchmark(lambda: ovo_fit(OneVsOneClassifier(QDA()), X, y))
     assert clf.predict(X[:4]).shape == (4,)
 
 
@@ -274,7 +286,7 @@ def test_hierarchy_predict_throughput(benchmark, small_disassembler):
     """Batched hierarchical inference: one pipeline pass per group."""
     dis, windows = small_disassembler
     keys = benchmark(
-        lambda: dis.predict_instructions(windows, adapt=False, batched=True)
+        lambda: dis.predict_instructions(windows, adapt=False)
     )
     assert len(keys) == len(windows)
 
@@ -283,7 +295,7 @@ def test_hierarchy_predict_reference_throughput(benchmark, small_disassembler):
     """Row-at-a-time streaming baseline (identical keys)."""
     dis, windows = small_disassembler
     keys = benchmark(
-        lambda: dis.predict_instructions_reference(windows, adapt=False)
+        lambda: predict_instructions(dis, windows, adapt=False)
     )
     assert len(keys) == len(windows)
 
@@ -301,7 +313,7 @@ def test_simulator_throughput(benchmark):
 
 
 def test_render_throughput(benchmark):
-    """Power-trace samples rendered per second (default batched path)."""
+    """Power-trace samples rendered per second (coefficient matmul)."""
     cpu = AvrCpu("\n".join(["add r1, r2"] * 300))
     events = cpu.run()
     model = PowerModel()
@@ -310,9 +322,9 @@ def test_render_throughput(benchmark):
 
 
 def test_render_serial_throughput(benchmark):
-    """Reference event-at-a-time renderer, for before/after comparison."""
+    """Event-at-a-time renderer oracle, for before/after comparison."""
     cpu = AvrCpu("\n".join(["add r1, r2"] * 300))
     events = cpu.run()
     model = PowerModel()
-    trace = benchmark(lambda: model.render_events_serial(events))
+    trace = benchmark(lambda: render_events(model, events))
     assert len(trace) > 300 * 157

@@ -1,9 +1,9 @@
 """replint — self-hosted static analysis for the reproduction's invariants.
 
-PRs 1–2 made every hot path dual: a vectorized fast path shadowed by a
-serial ``*_reference``, gated by a ``REPRO_*`` knob, and parity-tested.
-Those invariants used to live in reviewers' heads; this package makes
-them machine-checked.  The engine is two-phase: per-file AST rules run
+The reproduction's cross-cutting invariants — declared knobs, dtype
+discipline on the GEMM paths, picklable pool tasks, span coverage —
+used to live in reviewers' heads; this package makes them
+machine-checked.  The engine is two-phase: per-file AST rules run
 on a worker pool (memoized by content fingerprint under
 ``.replint-cache/``), then whole-program rules run against an assembled
 project model — module symbol tables, a resolved import graph, and a
@@ -17,8 +17,6 @@ Code      Name                 Invariant
 REP001    knob-registry        ``REPRO_*`` knobs declared in
                                :mod:`repro.util.knobs`; ``os.environ`` only in
                                :mod:`repro.util.env`
-REP002    parity               every public ``X``/``X_reference`` pair has a
-                               test module exercising both
 REP003    determinism          no global ``np.random``, wall-clock reads, or
                                set-order iteration in library code
 REP004    accumulation-dtype   reductions in ``features/`` and

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "replint: AST-based invariant checks for the reproduction — "
-            "per-file rules (knob registry, fast/reference parity, "
+            "per-file rules (knob registry, "
             "determinism, accumulation dtypes, export hygiene, import "
             "layering) plus whole-program rules over the project model "
             "(dtype flow, parallel safety, span coverage, knob liveness)"

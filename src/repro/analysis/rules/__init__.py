@@ -1,11 +1,13 @@
-"""The replint rule set (REP001–REP014).
+"""The replint rule set (REP001, REP003–REP014).
 
 Importing this package populates :data:`repro.analysis.core.RULE_REGISTRY`;
 each module holds one rule so a rule's scope, heuristics, and rationale
-live next to its implementation.  REP001–REP008 are per-file / cross-file
-rules; REP009–REP012 are whole-program rules that run against the
-:class:`~repro.analysis.project.ProjectModel`; REP013 reports stale
-suppression comments (detected by the runner after every phase).
+live next to its implementation.  REP002 (fast/reference parity) is
+retired: stages no longer ship reference twins.  REP001–REP008 are
+per-file / cross-file rules; REP009–REP012 are whole-program rules that
+run against the :class:`~repro.analysis.project.ProjectModel`; REP013
+reports stale suppression comments (detected by the runner after every
+phase).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from . import (
     layering,
     metric_names,
     parallel_safety,
-    parity,
     printing,
     span_coverage,
     suppressions,
@@ -42,7 +43,6 @@ __all__ = [
     "layering",
     "metric_names",
     "parallel_safety",
-    "parity",
     "printing",
     "span_coverage",
     "suppressions",

@@ -17,9 +17,7 @@ machines, hierarchical at most C(8,2) + C(20,2) = 218.
 Inference is *batched*: windows routed to the same group run through
 that group's pipeline + classifier as one batch, and label/operand
 decoding is vectorized.  The row-at-a-time walk a naive disassembler
-loop would do is kept as
-:meth:`SideChannelDisassembler.predict_instructions_reference` for
-parity testing and benchmarking (``REPRO_BATCHED_TRAIN=0`` selects it).
+loop would do is the ``predict_instructions`` test oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from ..ml.base import Classifier
 from ..ml.discriminant import QDA
 from ..obs import trace as _obs
 from ..power.dataset import TraceSet
-from ..util.knobs import get_flag
 from .types import ABSTAIN_KEY, DisassembledInstruction
 
 __all__ = ["LevelModel", "SideChannelDisassembler"]
@@ -91,8 +88,8 @@ class LevelModel:
     trace→scores path folded into precomputed GEMMs — built lazily on
     the first predict call (or eagerly via :meth:`compile`).  Classifier
     templates without a discriminant fold (SVM, one-vs-one ensembles)
-    fall back to the staged pipeline transparently, as does
-    ``REPRO_COMPILED_INFER=0``.
+    fall back to the staged pipeline transparently, as do
+    ``n_components``-truncated calls.
     """
 
     pipeline: FeaturePipeline
@@ -104,9 +101,15 @@ class LevelModel:
     def compile(self, dtype="float32") -> CompiledPipeline:
         """Fold this level into a :class:`CompiledPipeline` and keep it.
 
+        Idempotent: an artifact already built in ``dtype`` (e.g. lazily,
+        by an earlier predict call) is returned as is.
+
         Raises:
             CompileError: the classifier has no discriminant fold.
         """
+        compiled = self.compiled
+        if compiled is not None and compiled.dtype == np.dtype(dtype):
+            return compiled
         self.compiled = CompiledPipeline.build(
             self.pipeline,
             self.classifier,
@@ -125,8 +128,6 @@ class LevelModel:
         classifiers don't retry per batch.  Component-truncated calls
         (the Fig. 5 sweep) stay on the staged path.
         """
-        if not get_flag("REPRO_COMPILED_INFER"):
-            return None
         if self.compiled is None and not self._compile_failed:
             try:
                 self.compile()
@@ -320,13 +321,17 @@ class SideChannelDisassembler:
         """Eagerly fold every fitted level into its compiled artifact.
 
         Best-effort: levels whose classifier has no discriminant fold
-        (SVM, one-vs-one) keep the staged path.  Returns a map of level
-        name → whether it compiled, e.g. ``{"group": True, "I1": True,
-        "Rd": False}``.
+        (SVM, one-vs-one) keep the staged path.  Levels already compiled
+        (or already known not to compile) during earlier predict calls
+        are not rebuilt.  Returns a map of level name → whether it
+        compiled, e.g. ``{"group": True, "I1": True, "Rd": False}``.
         """
         outcomes: Dict[str, bool] = {}
 
         def attempt(name: str, model: LevelModel) -> None:
+            if model._compile_failed:
+                outcomes[name] = False
+                return
             try:
                 model.compile(dtype=dtype)
                 outcomes[name] = True
@@ -411,26 +416,17 @@ class SideChannelDisassembler:
         windows: np.ndarray,
         groups: Optional[np.ndarray] = None,
         adapt: Optional[bool] = None,
-        batched: Optional[bool] = None,
     ) -> List[str]:
         """Level-2 prediction: class key per window (hierarchical).
 
         Windows are grouped by their level-1 prediction and each group's
-        pipeline + classifier runs **once** on the whole group batch;
-        ``batched=None`` follows ``REPRO_BATCHED_TRAIN`` (default on,
-        falling back to the row-at-a-time reference when disabled).
+        pipeline + classifier runs **once** on the whole group batch.
 
         Note on ``adapt``: level-2 batches contain only the windows routed
         to one group, so their class mixture is typically *not*
         representative of training — pass ``adapt=False`` for real-code
-        streams unless the batch is known to be balanced.  The per-row
-        reference never has batches large enough to adapt, so parity with
-        it holds under ``adapt=False`` or non-batch normalization.
+        streams unless the batch is known to be balanced.
         """
-        if batched is None:
-            batched = get_flag("REPRO_BATCHED_TRAIN")
-        if not batched:
-            return self.predict_instructions_reference(windows, groups, adapt)
         windows = np.asarray(windows)
         if groups is None:
             groups = self.predict_groups(windows, adapt=adapt)
@@ -445,32 +441,6 @@ class SideChannelDisassembler:
                     continue
                 keys[rows] = model.predict_keys(windows[rows], adapt=adapt)
         return list(keys)
-
-    def predict_instructions_reference(
-        self,
-        windows: np.ndarray,
-        groups: Optional[np.ndarray] = None,
-        adapt: Optional[bool] = None,
-    ) -> List[str]:
-        """Row-at-a-time reference for :meth:`predict_instructions`.
-
-        Routes every window through its group's pipeline + classifier as
-        a batch of one — the naive streaming-disassembler loop.  Kept for
-        parity tests and as the benchmark baseline.
-        """
-        windows = np.asarray(windows)
-        if groups is None:
-            groups = self.predict_groups(windows, adapt=adapt)
-        keys: List[str] = []
-        for row in range(len(windows)):
-            model = self.instruction_models.get(int(groups[row]))
-            if model is None:
-                keys.append(f"G{int(groups[row])}?")
-                continue
-            keys.append(
-                model.predict_keys(windows[row:row + 1], adapt=adapt)[0]
-            )
-        return keys
 
     def predict_register(
         self, role: str, windows: np.ndarray, adapt: Optional[bool] = None

@@ -20,8 +20,7 @@ import numpy as np
 from ..dsp.cwt import CWT, get_cwt
 from ..features.pca import PCA
 from ..features.pipeline import FeatureConfig, compute_class_stats
-from ..features.selection import select_all_pairs, select_pair_points
-from ..features.kl import batched_train_enabled, within_class_kl_reference
+from ..features.selection import select_all_pairs
 from ..ml.base import Classifier
 from ..ml.discriminant import QDA
 from ..power.dataset import TraceSet
@@ -116,42 +115,18 @@ class PairwiseVotingClassifier:
             cfg.block_size,
         )
         # Select each pair's own points, then build one unified gather list.
-        # The batched path computes all within/between fields as stacked
-        # evaluations (see repro.features.kl); the reference loop is the
-        # REPRO_BATCHED_TRAIN=0 fallback and selects identical points.
-        pair_codes = list(
-            itertools.combinations(range(len(trace_set.label_names)), 2)
+        pair_codes = itertools.combinations(range(len(self.label_names)), 2)
+        selections = select_all_pairs(
+            stats,
+            kl_threshold=cfg.kl_threshold,
+            top_k=self.points_per_pair,
+            names=list(trace_set.label_names),
+            n_jobs=cfg.n_jobs,
         )
-        pair_points: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        if batched_train_enabled():
-            selections = select_all_pairs(
-                stats,
-                kl_threshold=cfg.kl_threshold,
-                top_k=self.points_per_pair,
-                names=list(trace_set.label_names),
-                n_jobs=cfg.n_jobs,
-            )
-            for (a, b), selection in zip(pair_codes, selections):
-                pair_points[(a, b)] = selection.points
-        else:
-            within = {
-                name: within_class_kl_reference(stats[name])
-                for name in trace_set.label_names
-            }
-            for a, b in pair_codes:
-                name_a = trace_set.label_names[a]
-                name_b = trace_set.label_names[b]
-                selection = select_pair_points(
-                    stats[name_a],
-                    stats[name_b],
-                    kl_threshold=cfg.kl_threshold,
-                    top_k=self.points_per_pair,
-                    class_a=name_a,
-                    class_b=name_b,
-                    within_a=within[name_a],
-                    within_b=within[name_b],
-                )
-                pair_points[(a, b)] = selection.points
+        pair_points: Dict[Tuple[int, int], List[Tuple[int, int]]] = {
+            codes: selection.points
+            for codes, selection in zip(pair_codes, selections)
+        }
         unified = sorted({p for pts in pair_points.values() for p in pts})
         self._points = unified
         column_of = {point: i for i, point in enumerate(unified)}
@@ -183,8 +158,7 @@ class PairwiseVotingClassifier:
 
         Pair predictions are collected into one ``(n_pairs, n)`` winner
         matrix and reduced with ``np.add.at`` (identical counts to the
-        per-pair accumulation loop, which remains as
-        :meth:`predict_reference`).
+        per-pair accumulation loop of the ``voting_predict`` test oracle).
         """
         if not self._pairs:
             raise RuntimeError("classifier is not fitted")
@@ -214,30 +188,6 @@ class PairwiseVotingClassifier:
             np.add.at(scores_t, codes_a[has_soft], softs[has_soft])
             np.add.at(scores_t, codes_b[has_soft], -softs[has_soft])
         ranking = votes + 1e-9 * np.tanh(scores_t.T)
-        return np.argmax(ranking, axis=1)
-
-    def predict_reference(self, windows: np.ndarray) -> np.ndarray:
-        """Per-pair accumulation loop (reference for :meth:`predict`)."""
-        if not self._pairs:
-            raise RuntimeError("classifier is not fitted")
-        values = self._normalize(self._point_values(np.asarray(windows)), fit=False)
-        n = len(values)
-        votes = np.zeros((n, len(self.label_names)))
-        scores = np.zeros((n, len(self.label_names)))
-        for pair in self._pairs:
-            pair_values = values[:, pair.columns]
-            projected = pair.pca.transform(pair_values)
-            pred = pair.classifier.predict(projected)
-            winner_a = pred == pair.code_a
-            votes[winner_a, pair.code_a] += 1
-            votes[~winner_a, pair.code_b] += 1
-            if hasattr(pair.classifier, "predict_proba"):
-                proba = pair.classifier.predict_proba(projected)
-                column = list(pair.classifier.classes_).index(pair.code_a)
-                soft = proba[:, column] - 0.5
-                scores[:, pair.code_a] += soft
-                scores[:, pair.code_b] -= soft
-        ranking = votes + 1e-9 * np.tanh(scores)
         return np.argmax(ranking, axis=1)
 
     def score(self, trace_set: TraceSet) -> float:

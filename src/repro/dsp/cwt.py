@@ -17,8 +17,8 @@ the time-frequency domain for alignment-robust features.
 Fast-path design
 ----------------
 
-The reference formulation (kept in :meth:`CWT.transform_reference`) does
-one full-length complex ``ifft`` per scale against the spectrum on an
+The reference formulation (the ``cwt_transform`` test oracle) does one
+full-length complex ``ifft`` per scale against the spectrum on an
 ``n_fft = nextpow2(n_samples + 6*scale_max)`` grid.  The fast path
 reproduces those numbers to ≤1e-5 while doing far less work, by routing
 every scale through the cheapest of three kernels:
@@ -370,38 +370,6 @@ class CWT:
                     self._run_fft_stage(stage, spectrum, view, workers=workers)
                 for stage in self._gemm_stages:
                     self._run_gemm_stage(stage, spectrum, view)
-        return out[0] if single else out
-
-    def transform_reference(self, traces: np.ndarray) -> np.ndarray:
-        """Reference implementation: one full-grid complex ifft per scale.
-
-        This is the seed formulation the fast path is validated against
-        (float64 throughout); slow, for testing and diagnostics only.
-        """
-        single = traces.ndim == 1
-        batch = np.atleast_2d(np.asarray(traces, dtype=np.float64))
-        if batch.shape[1] != self.n_samples:
-            raise ValueError(
-                f"expected {self.n_samples}-sample traces, got {batch.shape[1]}"
-            )
-        omega = 2.0 * np.pi * np.fft.fftfreq(self.n_fft)
-        scales = self.config.scales
-        arg = scales[:, None] * omega[None, :]
-        response = np.exp(-0.5 * (arg - self.config.omega0) ** 2)
-        response *= omega[None, :] > 0
-        response *= np.sqrt(scales)[:, None]
-        spectrum = np.fft.fft(batch, n=self.n_fft, axis=1)
-        n = batch.shape[0]
-        out = np.empty(
-            (n, self.config.n_scales, self.n_samples), dtype=np.float32
-        )
-        for j in range(self.config.n_scales):
-            coeff = np.fft.ifft(spectrum * response[j], axis=1)
-            coeff = coeff[:, : self.n_samples]
-            if self.config.magnitude:
-                out[:, j, :] = np.abs(coeff).astype(np.float32)
-            else:
-                out[:, j, :] = coeff.real.astype(np.float32)
         return out[0] if single else out
 
     def transform_blocks(

@@ -8,8 +8,6 @@ from .kl import (
     gaussian_kl,
     symmetric_gaussian_kl,
     within_class_kl,
-    within_class_kl_batched,
-    within_class_kl_reference,
 )
 from .compiled import CompiledPipeline, CompileError
 from .pca import PCA
@@ -47,6 +45,4 @@ __all__ = [
     "symmetric_gaussian_kl",
     "unify_points",
     "within_class_kl",
-    "within_class_kl_batched",
-    "within_class_kl_reference",
 ]

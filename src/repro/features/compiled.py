@@ -309,13 +309,7 @@ class CompiledPipeline:
             point_matrix = None
             point_offset = None
             if config.use_cwt:
-                operator = pipeline._cwt.point_operator(pipeline.points)
-                if magnitude:
-                    point_matrix = np.ascontiguousarray(
-                        np.hstack([operator.real, operator.imag])
-                    )
-                else:
-                    point_matrix = np.ascontiguousarray(operator.real)
+                point_matrix = pipeline._folded_points()
                 if reference is not None:
                     folded_ref = (
                         np.asarray(reference, dtype=np.float64)

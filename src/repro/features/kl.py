@@ -25,10 +25,9 @@ so the symmetric fast path needs **no logarithms at all** and only one
 reciprocal per distribution (precomputed per program/class, not per
 pair).  It is algebraically identical to the reference composition of
 two ``gaussian_kl`` calls; floating-point rounding differs by ~1e-15
-absolute, far inside the 1e-9 parity budget (the per-pair loops are kept
-as ``*_reference`` and parity-tested).  The plain asymmetric batched
-path keeps the reference arithmetic and stays bit-exact.
-``REPRO_BATCHED_TRAIN=0`` forces the reference paths everywhere.
+absolute, far inside the 1e-9 parity budget (the per-pair loops are the
+``within_class_kl`` / ``dnvp_fit`` test oracles).  The plain asymmetric
+batched path keeps the per-pair arithmetic and stays bit-exact.
 """
 
 from __future__ import annotations
@@ -38,27 +37,19 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..util.knobs import get_flag, get_int
+from ..util.knobs import get_int
 
 __all__ = [
     "StackedClassStats",
     "WaveletStats",
-    "batched_train_enabled",
     "between_class_kl",
     "between_class_kl_matrix",
     "gaussian_kl",
     "symmetric_gaussian_kl",
     "within_class_kl",
-    "within_class_kl_batched",
-    "within_class_kl_reference",
 ]
 
 _VAR_FLOOR = 1e-12
-
-
-def batched_train_enabled() -> bool:
-    """Whether the training-side fast paths are on (``REPRO_BATCHED_TRAIN``)."""
-    return get_flag("REPRO_BATCHED_TRAIN")
 
 
 def _pair_block_size() -> int:
@@ -184,27 +175,6 @@ def between_class_kl(
     return fn(stats_a.mean, stats_a.var, stats_b.mean, stats_b.var)
 
 
-def within_class_kl_reference(
-    stats: WaveletStats, symmetric: bool = True
-) -> np.ndarray:
-    """Serial reference for :func:`within_class_kl` (O(P²) Python loop)."""
-    n_programs = stats.n_programs
-    if n_programs < 2:
-        return np.zeros_like(stats.mean)
-    fn = symmetric_gaussian_kl if symmetric else gaussian_kl
-    worst = np.zeros_like(stats.mean)
-    for i in range(n_programs):
-        for j in range(i + 1, n_programs):
-            field = fn(
-                stats.program_means[i],
-                stats.program_vars[i],
-                stats.program_means[j],
-                stats.program_vars[j],
-            )
-            np.maximum(worst, field, out=worst)
-    return worst
-
-
 def _fused_jeffreys_pair(
     mean_i: np.ndarray,
     var_i: np.ndarray,
@@ -233,19 +203,21 @@ def _fused_jeffreys_pair(
     return out
 
 
-def within_class_kl_batched(
-    stats: WaveletStats, symmetric: bool = True
-) -> np.ndarray:
-    """Fast within-class field: fused evaluation over all program pairs.
+def within_class_kl(stats: WaveletStats, symmetric: bool = True) -> np.ndarray:
+    """The within-class field ``D_KL^W``: worst drift across program pairs.
+
+    Returns the element-wise *maximum* over all program-file pairs — a
+    point is "not-varying" only if it is stable for **every** pair
+    (Definition 3.1 quantifies over all ``m != n``).
 
     The symmetric (default) path uses the log-free Jeffreys kernel with
     per-program reciprocals precomputed once and two reused scratch
     planes, then applies the monotonic affine tail after the pair-axis
-    ``max`` — algebraically identical to
-    :func:`within_class_kl_reference`, with ~1e-15 absolute rounding
-    differences.  The asymmetric path gathers upper-triangle index pairs
-    into ``(n_pairs, ...)`` stacks (blocked by ``REPRO_KL_BLOCK_PAIRS``)
-    and stays bit-exact with the reference loop.
+    ``max`` — algebraically identical to the per-pair composition of two
+    :func:`gaussian_kl` calls, with ~1e-15 absolute rounding differences.
+    The asymmetric path gathers upper-triangle index pairs into
+    ``(n_pairs, ...)`` stacks (blocked by ``REPRO_KL_BLOCK_PAIRS``) and is
+    bit-exact with the per-pair loop.
     """
     n_programs = stats.n_programs
     if n_programs < 2:
@@ -285,32 +257,6 @@ def within_class_kl_batched(
     worst -= 2.0
     worst *= 0.25
     return worst
-
-
-def within_class_kl(
-    stats: WaveletStats,
-    symmetric: bool = True,
-    batched: Optional[bool] = None,
-) -> np.ndarray:
-    """The within-class field ``D_KL^W``: worst drift across program pairs.
-
-    Returns the element-wise *maximum* over all program-file pairs — a
-    point is "not-varying" only if it is stable for **every** pair
-    (Definition 3.1 quantifies over all ``m != n``).
-
-    Args:
-        stats: one class's per-program statistics.
-        symmetric: use the symmetrized (Jeffreys) divergence.
-        batched: force the fused (True) or loop (False) evaluation;
-            ``None`` follows ``REPRO_BATCHED_TRAIN`` (default on).  The
-            fields agree to ~1e-15 absolute (bit-exact when
-            ``symmetric=False``).
-    """
-    if batched is None:
-        batched = batched_train_enabled()
-    if batched:
-        return within_class_kl_batched(stats, symmetric)
-    return within_class_kl_reference(stats, symmetric)
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dsp.cwt import CWT, CwtConfig, get_cwt
 from ..obs import trace as _obs
-from ..util.knobs import get_flag, get_int
+from ..util.knobs import get_int
 from .kl import WaveletStats
 from .pca import PCA
 from .selection import DnvpSelector, Point
@@ -172,21 +172,37 @@ class FeaturePipeline:
     ) -> np.ndarray:
         """Unified DNVP feature values for raw traces.
 
-        Inference-time calls (``staged=False``) route through a cached
-        folded point-operator GEMM — one matrix product against the
-        selected points' complex CWT functionals plus a modulus —
-        skipping all per-stage FFT/inverse machinery.  Fitting keeps the
-        staged path (``staged=True``) so the normalization statistics
-        and PCA basis are bit-identical to earlier releases; the
-        ``REPRO_COMPILED_INFER`` knob forces the staged path everywhere.
+        Inference-time calls (``staged=False``) are one matrix product
+        against the selected points' folded CWT functionals plus a
+        modulus, skipping all per-stage FFT/inverse machinery.  Fitting
+        keeps the staged kernels (``staged=True``) so the normalization
+        statistics and PCA basis are bit-identical to earlier releases.
         """
         if self.config.use_cwt:
             assert self._cwt is not None
-            if not staged and get_flag("REPRO_COMPILED_INFER"):
-                return self._folded_point_values(traces)
-            return self._cwt.transform_points(traces, self.points)
+            if staged:
+                return self._cwt.transform_points(traces, self.points)
+            return self._folded_point_values(traces)
         times = np.array([k for (_, k) in self.points])
         return np.asarray(traces, dtype=np.float64)[:, times]
+
+    def _folded_points(self) -> np.ndarray:
+        """The selected points as one real ``(n_samples, P or 2P)`` matrix.
+
+        Stacks ``[Re K | Im K]`` (or just ``Re K`` without magnitude) of
+        ``K = CWT.point_operator(points)``, in float64.  Built once per
+        fitted point set and shared by :meth:`transform` and
+        :meth:`repro.features.compiled.CompiledPipeline.build`.
+        """
+        if self._point_gemm is None:
+            assert self._cwt is not None
+            operator = self._cwt.point_operator(self.points)
+            if self.config.cwt.magnitude:
+                matrix = np.hstack([operator.real, operator.imag])
+            else:
+                matrix = operator.real
+            self._point_gemm = np.ascontiguousarray(matrix)
+        return self._point_gemm
 
     def _folded_point_values(self, traces: np.ndarray) -> np.ndarray:
         """Selected-point values via the precomputed linear operator.
@@ -198,15 +214,7 @@ class FeaturePipeline:
         (BLAS blocking), and downstream tests hold single-trace and
         batched transforms to ~1e-9 of each other.
         """
-        assert self._cwt is not None
-        if self._point_gemm is None:
-            operator = self._cwt.point_operator(self.points)
-            if self.config.cwt.magnitude:
-                matrix = np.hstack([operator.real, operator.imag])
-            else:
-                matrix = operator.real
-            self._point_gemm = np.ascontiguousarray(matrix)
-        matrix = self._point_gemm
+        matrix = self._folded_points()
         quantize_dtype = (
             np.float32
             if self.config.cwt.precision == "single"
@@ -322,9 +330,7 @@ class FeaturePipeline:
                 # Shared cached operator: every pipeline fitted on the same
                 # geometry reuses one set of precomputed response matrices.
                 self._cwt = get_cwt(self._n_samples, self.config.cwt)
-            image_cache = (
-                {} if self._image_cache_fits(traces) else None
-            )
+            image_cache = {} if self._image_cache_fits(*traces.shape) else None
             stats = compute_class_stats(
                 traces,
                 labels,
@@ -353,8 +359,8 @@ class FeaturePipeline:
                 )
             return values
 
-    def _image_cache_fits(self, traces: np.ndarray) -> bool:
-        """Whether keeping all training images in memory is worth it.
+    def _image_cache_fits(self, n_traces: int, n_samples: int) -> bool:
+        """Whether holding ``n_traces`` training images in memory fits.
 
         The statistics pass already materializes every class's images;
         holding on to them lets the selected-point values be gathered by
@@ -367,7 +373,7 @@ class FeaturePipeline:
         if budget_mb <= 0:
             return False
         n_scales = self.config.cwt.n_scales
-        total = len(traces) * n_scales * traces.shape[1] * 4
+        total = n_traces * n_scales * n_samples * 4
         return total <= budget_mb * (1 << 20)
 
     def _gather_point_values(

@@ -17,8 +17,7 @@ the stacked program-pair kernel, all between-class fields come from one
 broadcasted evaluation (:func:`~repro.features.kl.between_class_kl_matrix`),
 and the per-pair peak selection fans over the ``repro.util.parallel``
 pool in deterministic ``itertools.combinations`` order.  The serial
-reference (:meth:`DnvpSelector.fit_reference`) is kept and parity-tested;
-``REPRO_BATCHED_TRAIN=0`` forces it.
+per-pair loop is the ``dnvp_fit`` test oracle.
 """
 
 from __future__ import annotations
@@ -33,11 +32,9 @@ from ..util.parallel import parallel_map
 from .kl import (
     StackedClassStats,
     WaveletStats,
-    batched_train_enabled,
     between_class_kl,
     between_class_kl_matrix,
     within_class_kl,
-    within_class_kl_reference,
 )
 
 __all__ = [
@@ -286,7 +283,7 @@ def select_all_pairs(
     if names is None:
         names = list(stats_by_class)
     within = {
-        name: within_class_kl(stats_by_class[name], batched=True)
+        name: within_class_kl(stats_by_class[name])
         for name in names
     }
     nvp = {
@@ -339,19 +336,9 @@ class DnvpSelector:
         return self
 
     def fit(
-        self,
-        stats_by_class: Mapping[str, WaveletStats],
-        batched: Optional[bool] = None,
+        self, stats_by_class: Mapping[str, WaveletStats]
     ) -> "DnvpSelector":
-        """Select unified feature points from all class pairs.
-
-        ``batched=None`` follows ``REPRO_BATCHED_TRAIN`` (default on);
-        both paths select identical points.
-        """
-        if batched is None:
-            batched = batched_train_enabled()
-        if not batched:
-            return self.fit_reference(stats_by_class)
+        """Select unified feature points from all class pairs."""
         return self._finalize(
             select_all_pairs(
                 stats_by_class,
@@ -360,31 +347,6 @@ class DnvpSelector:
                 n_jobs=self.n_jobs,
             )
         )
-
-    def fit_reference(
-        self, stats_by_class: Mapping[str, WaveletStats]
-    ) -> "DnvpSelector":
-        """Serial reference fit: per-pair Python loop, loop-based KL fields."""
-        names = list(stats_by_class)
-        within = {
-            name: within_class_kl_reference(stats_by_class[name])
-            for name in names
-        }
-        selections = []
-        for name_a, name_b in itertools.combinations(names, 2):
-            selections.append(
-                select_pair_points(
-                    stats_by_class[name_a],
-                    stats_by_class[name_b],
-                    kl_threshold=self.kl_threshold,
-                    top_k=self.top_k,
-                    class_a=name_a,
-                    class_b=name_b,
-                    within_a=within[name_a],
-                    within_b=within[name_b],
-                )
-            )
-        return self._finalize(selections)
 
     @property
     def n_points(self) -> int:

@@ -11,11 +11,10 @@ estimator can assemble itself from per-class statistics
 means/covariances/variances are computed **once** and every pair
 classifier is built from them instead of refitting on ``X[mask]`` per
 pair.  Estimators without that capability (SVM) keep the per-pair fit,
-optionally fanned over the ``repro.util.parallel`` pool.  The naive loop
-is kept as :meth:`OneVsOneClassifier.fit_reference` and parity-tested;
-``REPRO_BATCHED_TRAIN=0`` forces it.  Inference accumulates all pair
-votes/scores through one ``(n_pairs, n)`` prediction matrix reduced with
-``np.add.at`` instead of per-pair Python bookkeeping.
+optionally fanned over the ``repro.util.parallel`` pool.  Inference
+accumulates all pair votes/scores through one ``(n_pairs, n)`` prediction
+matrix reduced with ``np.add.at`` instead of per-pair Python bookkeeping.
+The naive per-pair loops are the ``ovo_*`` test oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import trace as _obs
-from ..util.knobs import get_flag
 from ..util.parallel import parallel_map
 from .base import Classifier, check_Xy
 from .suffstats import ClassStats
@@ -82,21 +80,15 @@ class OneVsOneClassifier(Classifier):
     def _class_pairs(self) -> List[Tuple[int, int]]:
         return list(itertools.combinations(range(len(self.classes_)), 2))
 
-    def fit(
-        self, X: np.ndarray, y: np.ndarray, batched: Optional[bool] = None
-    ) -> "OneVsOneClassifier":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "OneVsOneClassifier":
         """Fit all pair classifiers.
 
-        ``batched=None`` follows ``REPRO_BATCHED_TRAIN`` (default on).
-        The fast path assembles Gaussian-template estimators from shared
-        per-class sufficient statistics (bit-identical templates for
-        LDA/QDA, ~1e-15 for naive Bayes' smoothing term) and falls back
-        to per-pair fitting — optionally on the worker pool — otherwise.
+        Gaussian-template estimators (those with ``fit_from_stats``) are
+        assembled from shared per-class sufficient statistics
+        (bit-identical templates for LDA/QDA vs per-pair refits, ~1e-15
+        for naive Bayes' smoothing term); any other estimator is refit
+        per pair — optionally on the worker pool.
         """
-        if batched is None:
-            batched = get_flag("REPRO_BATCHED_TRAIN")
-        if not batched:
-            return self.fit_reference(X, y)
         X, y = check_Xy(X, y)
         self.classes_ = np.unique(y)
         pairs = self._class_pairs()
@@ -122,18 +114,6 @@ class OneVsOneClassifier(Classifier):
                 )
                 self.estimators_ = dict(zip(pairs, fitted))
             _obs.counter("ovo.pairs_fit").inc(len(pairs))
-        return self
-
-    def fit_reference(self, X: np.ndarray, y: np.ndarray) -> "OneVsOneClassifier":
-        """Serial reference fit: refit the base estimator per pair subset."""
-        X, y = check_Xy(X, y)
-        self.classes_ = np.unique(y)
-        self.estimators_ = {}
-        for a, b in self._class_pairs():
-            mask = (y == self.classes_[a]) | (y == self.classes_[b])
-            clone = self.base_estimator.clone()
-            clone.fit(X[mask], y[mask])
-            self.estimators_[(a, b)] = clone
         return self
 
     def _pair_soft_score(
@@ -194,17 +174,6 @@ class OneVsOneClassifier(Classifier):
         _, _, winners, _, _ = self._pair_predictions(X, want_soft=False)
         return self._count_votes(winners, len(self.classes_))
 
-    def vote_matrix_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-pair accumulation loop (reference for :meth:`vote_matrix`)."""
-        X = check_Xy(X)
-        votes = np.zeros((len(X), len(self.classes_)))
-        for (a, b), estimator in self.estimators_.items():
-            pred = estimator.predict(X)
-            winner_a = pred == self.classes_[a]
-            votes[winner_a, a] += 1
-            votes[~winner_a, b] += 1
-        return votes
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = check_Xy(X)
         sides_a, sides_b, winners, soft, has_soft = self._pair_predictions(
@@ -216,21 +185,4 @@ class OneVsOneClassifier(Classifier):
             np.add.at(scores_t, sides_a[has_soft], soft[has_soft])
             np.add.at(scores_t, sides_b[has_soft], -soft[has_soft])
         ranking = votes + 1e-9 * np.tanh(scores_t.T)
-        return self.classes_[np.argmax(ranking, axis=1)]
-
-    def predict_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-pair accumulation loop (reference for :meth:`predict`)."""
-        X = check_Xy(X)
-        votes = np.zeros((len(X), len(self.classes_)))
-        scores = np.zeros((len(X), len(self.classes_)))
-        for (a, b), estimator in self.estimators_.items():
-            pred = estimator.predict(X)
-            winner_a = pred == self.classes_[a]
-            votes[winner_a, a] += 1
-            votes[~winner_a, b] += 1
-            soft = self._pair_soft_score(estimator, X, self.classes_[a])
-            if soft is not None:
-                scores[:, a] += soft
-                scores[:, b] -= soft
-        ranking = votes + 1e-9 * np.tanh(scores)
         return self.classes_[np.argmax(ranking, axis=1)]

@@ -868,9 +868,12 @@ class Acquisition:
         Returns:
             :class:`ProgramCapture` with one window per executed
             instruction, reference-subtracted like the profiling traces.
+            Every form of the same program (text, words, instructions;
+            list or tuple) captures identically, in any process: the
+            capture is seeded from the assembled flash words.
         """
-        rng = self._rng("program", getattr(program, "__hash__", lambda: 0)())
         cpu = AvrCpu(program)
+        rng = self._rng("program", hash(tuple(cpu.flash)))
         self._randomize_state(cpu, rng)
         events = cpu.run(max_steps=200_000)
         analog = self.model.render_events(events)

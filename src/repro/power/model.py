@@ -30,7 +30,6 @@ import numpy as np
 
 from ..sim.cpu import canonicalize
 from ..sim.events import ExecEvent
-from ..util.knobs import get_flag
 from .config import DEFAULT_GEOMETRY, PowerModelConfig, TraceGeometry
 from .device import DeviceProfile
 
@@ -251,11 +250,11 @@ class PowerModel:
         self._build_basis()
 
     def _build_basis(self) -> None:
-        """Register every fixed waveform as a basis row (batched renderer).
+        """Register every fixed waveform as a basis row.
 
-        The batched renderer expresses each cycle as a coefficient row
-        against this basis; each row here is *exactly* one array the
-        serial accumulation adds, so both paths sum the same terms.
+        :meth:`render_events` expresses each cycle as a coefficient row
+        against this basis; each row is *exactly* one physical term's
+        waveform (the ``render_events`` test oracle adds them one by one).
         """
         self._basis_rows: List[np.ndarray] = []
         self._basis_index: Dict[str, int] = {}
@@ -363,129 +362,11 @@ class PowerModel:
             self._class_bias_cache[key] = cached
         return cached
 
-    # -- per-cycle activity --------------------------------------------------
-    def _fetch_activity(
-        self, words: Tuple[int, ...], prev_words: Tuple[int, ...]
-    ) -> np.ndarray:
-        """Fetch + decode activity for the instruction entering the pipe."""
-        out = np.zeros(self._spc)
-        if not words:
-            return out
-        word = words[0]
-        out += self.config.flash_hw_scale * _popcount(word) * self._env_fetch_hw
-        if prev_words:
-            transitions = _popcount(word ^ prev_words[-1])
-            out += self.config.flash_hd_scale * transitions * self._env_fetch_hd
-        bits = (word >> np.arange(16)) & 1
-        out += bits @ self._decode_bank
-        return out
-
-    def _port_activity(self, port: str, reg: int) -> np.ndarray:
-        row, col = reg % 8, reg // 8
-        out = self._port_row_banks[port][row] + self._port_col_banks[port][col]
-        out = out + _popcount(reg) * self._port_hw_env[port]
-        return out
-
-    def _execute_activity(self, event: ExecEvent) -> np.ndarray:
-        cfg = self.config
-        out = np.zeros(self._spc)
-        if event.skipped:
-            # Pipeline bubble: flush residue only.
-            out += 0.30 * self._components["skip"]
-            return out
-
-        canonical = canonicalize(event.instruction)
-        semantics = canonical.spec.semantics
-
-        # Register-file address decode: the AVR register file decodes the
-        # opcode's d/r fields on both read ports every cycle, regardless
-        # of whether the operation consumes the data — so port activity
-        # is keyed on operand *addresses*, not on semantic reads.
-        port_regs = _register_operands(canonical)
-        if port_regs:
-            out += self._port_activity("read_a", port_regs[0])
-        if len(port_regs) > 1:
-            out += self._port_activity("read_b", port_regs[1])
-        if event.reads:
-            out += self._components["regfile_read"]
-            for read in event.reads[:2]:
-                out += cfg.data_hw_scale * _popcount(read.value) * self._env_op_a
-        if event.writes:
-            out += self._components["regfile_write"]
-            write = event.writes[0]
-            out += self._port_activity("write", write.reg)
-            out += (
-                cfg.data_hd_scale
-                * _popcount(write.old ^ write.new)
-                * self._env_result
-            )
-        if event.alu_result is not None or event.alu_operands:
-            out += self._components["alu"]
-            out += self._aluop_signature(semantics)
-            for env, value in zip(
-                (self._env_op_a, self._env_op_b), event.alu_operands
-            ):
-                out += cfg.data_hw_scale * _popcount(value) * env
-            if event.alu_result is not None:
-                out += (
-                    cfg.data_hw_scale
-                    * _popcount(event.alu_result)
-                    * self._env_result
-                )
-        for access in event.mem:
-            if access.kind == "load":
-                out += self._components["mem_load"]
-            elif access.kind == "store":
-                out += self._components["mem_store"]
-            elif access.kind == "io":
-                out += self._components["io"]
-            elif access.kind == "flash":
-                out += self._components["flash_data"]
-            out += (
-                cfg.data_hw_scale
-                * _popcount(access.address & 0xFF)
-                * self._env_mem_addr
-            )
-            out += (
-                cfg.data_hw_scale * _popcount(access.value) * self._env_mem_data
-            )
-        if event.branch_taken is not None:
-            if semantics in _SKIP_SEMANTICS:
-                amp = 1.0 if event.branch_taken else 0.55
-                out += amp * self._components["skip"]
-            else:
-                amp = 1.0 if event.branch_taken else 0.45
-                out += amp * self._components["branch"]
-        if semantics in _BIT_SEMANTICS:
-            out += self._components["bit_unit"]
-        toggled = event.sreg_toggled
-        if toggled:
-            bits = (toggled >> np.arange(8)) & 1
-            out += bits @ self._sreg_bank
-        if len(event.opcode_words) > 1:
-            # Second word of a 32-bit instruction is fetched while executing.
-            out += (
-                cfg.flash_hw_scale
-                * _popcount(event.opcode_words[1])
-                * self._env_word2
-            )
-        # Control-path residues keyed on the *textual* class and its
-        # Table 2 group, not the canonical encoding.  Physically,
-        # ``TST r5`` and ``AND r5, r5`` share one opcode, but the paper's
-        # near-perfect separation of groups containing aliases implies its
-        # templates treat every profiled class as having a distinct
-        # signature; we model that explicitly (see DESIGN.md §2).
-        out += self._class_bias(event.instruction.spec.key)
-        group = event.instruction.spec.group
-        if group is not None:
-            out += self._group_bias(group)
-        return out
-
-    # -- batched rendering ---------------------------------------------------
+    # -- per-cycle coefficients ----------------------------------------------
     def _fetch_coefficients(
         self, words: Tuple[int, ...], prev_words: Tuple[int, ...]
     ) -> List[Tuple[int, float]]:
-        """Coefficient terms mirroring :meth:`_fetch_activity`."""
+        """Fetch + decode terms for the instruction entering the pipe."""
         if not words:
             return []
         cfg = self.config
@@ -513,21 +394,26 @@ class PowerModel:
     def _execute_coefficients(
         self, event: ExecEvent
     ) -> List[Tuple[int, float]]:
-        """Coefficient terms mirroring :meth:`_execute_activity`.
+        """Execute-stage terms of one event, as ``(basis row, weight)`` pairs.
 
-        Each ``(row, weight)`` pair corresponds 1:1 to one term the
-        serial path accumulates, so ``coefficients @ basis`` reproduces
-        it up to floating-point summation order.
+        Each pair is one physical term of the cycle's activity; the
+        ``render_events`` test oracle accumulates the same terms one
+        waveform at a time.
         """
         cfg = self.config
         index = self._basis_index
         if event.skipped:
+            # Pipeline bubble: flush residue only.
             return [(index["comp|skip"], 0.30)]
 
         canonical = canonicalize(event.instruction)
         semantics = canonical.spec.semantics
         terms: List[Tuple[int, float]] = []
 
+        # Register-file address decode: the AVR register file decodes the
+        # opcode's d/r fields on both read ports every cycle, regardless
+        # of whether the operation consumes the data — so port activity
+        # is keyed on operand *addresses*, not on semantic reads.
         port_regs = _register_operands(canonical)
         if port_regs:
             terms.extend(self._port_coefficients("read_a", port_regs[0]))
@@ -602,12 +488,19 @@ class PowerModel:
                 if (toggled >> b) & 1:
                     terms.append((index[f"sreg{b}"], 1.0))
         if len(event.opcode_words) > 1:
+            # Second word of a 32-bit instruction is fetched while executing.
             terms.append(
                 (
                     index["word2"],
                     cfg.flash_hw_scale * _popcount(event.opcode_words[1]),
                 )
             )
+        # Control-path residues keyed on the *textual* class and its
+        # Table 2 group, not the canonical encoding.  Physically,
+        # ``TST r5`` and ``AND r5, r5`` share one opcode, but the paper's
+        # near-perfect separation of groups containing aliases implies its
+        # templates treat every profiled class as having a distinct
+        # signature; we model that explicitly (see DESIGN.md §2).
         class_key = event.instruction.spec.key
         row = self._basis_row(
             f"class|{class_key}", lambda: self._class_bias(class_key)
@@ -621,8 +514,18 @@ class PowerModel:
             terms.append((row, 1.0))
         return terms
 
-    def _render_events_batched(self, events: Sequence[ExecEvent]) -> np.ndarray:
-        """Vectorized renderer: one coefficient matmul for all cycles."""
+    # -- public API ----------------------------------------------------------
+    def render_events(self, events: Sequence[ExecEvent]) -> np.ndarray:
+        """Render an executed instruction stream to an analog power trace.
+
+        The returned trace has one clock cycle per instruction slot plus a
+        leading and trailing pad cycle, so that
+        ``trace[i * spc : i * spc + window]`` is the profiling window of
+        instruction ``i`` (fetch/decode cycle + execute cycle).  Cycle
+        ``i`` sums the execute terms of instruction ``i`` and the fetch
+        terms of instruction ``i+1`` as one coefficient matmul against the
+        envelope basis.
+        """
         spc = self._spc
         n = len(events)
         # Coefficient pass (may append dynamic basis rows, so the dense
@@ -649,53 +552,6 @@ class PowerModel:
         trace = np.tile(self._clock, n + 2)
         trace[: (n + 1) * spc] += (coeff @ basis).ravel()
         return self.device.gain * trace + self.device.offset
-
-    # -- public API ------------------------------------------------------------
-    def render_events_serial(self, events: Sequence[ExecEvent]) -> np.ndarray:
-        """Reference event-at-a-time renderer (see :meth:`render_events`)."""
-        spc = self._spc
-        n = len(events)
-        trace = np.zeros((n + 2) * spc)
-        # Pad cycles carry clock feedthrough only.
-        trace[0:spc] += self._clock
-        trace[(n + 1) * spc:] += self._clock
-        for i, event in enumerate(events):
-            cycle = self._clock.copy()
-            cycle += self._execute_activity(event)
-            if i + 1 < n:
-                cycle += self._fetch_activity(
-                    events[i + 1].opcode_words, event.opcode_words
-                )
-            start = (i + 1) * spc
-            trace[start:start + spc] += cycle
-        # First pad cycle also fetches instruction 0.
-        if n:
-            trace[0:spc] += self._fetch_activity(events[0].opcode_words, ())
-        return self.device.gain * trace + self.device.offset
-
-    def render_events(
-        self, events: Sequence[ExecEvent], batched: Optional[bool] = None
-    ) -> np.ndarray:
-        """Render an executed instruction stream to an analog power trace.
-
-        The returned trace has one clock cycle per instruction slot plus a
-        leading and trailing pad cycle, so that
-        ``trace[i * spc : i * spc + window]`` is the profiling window of
-        instruction ``i`` (fetch/decode cycle + execute cycle).
-
-        Args:
-            events: executed instruction stream.
-            batched: force the vectorized (True) or event-at-a-time
-                (False) renderer; ``None`` follows ``REPRO_BATCHED_RENDER``
-                (default on).  Both accumulate identical terms; they can
-                differ only in floating-point summation order (~1e-15
-                relative).
-        """
-        if batched is None:
-            batched = get_flag("REPRO_BATCHED_RENDER")
-        if batched:
-            return self._render_events_batched(events)
-        return self.render_events_serial(events)
 
     def window(self, trace: np.ndarray, index: int) -> np.ndarray:
         """Profiling window of instruction ``index`` within a rendered trace."""

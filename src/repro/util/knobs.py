@@ -1,7 +1,7 @@
 """Central registry of every ``REPRO_*`` environment knob.
 
 PRs 1–2 grew a family of tuning knobs (FFT backend, memory budgets,
-worker counts, batched-path opt-outs) whose declarations were scattered
+worker counts) whose declarations were scattered
 across the modules that read them, and whose README table was maintained
 by hand.  This module is now the single source of truth: every knob is
 declared here once — name, type, default, minimum, and the docstring the
@@ -227,31 +227,6 @@ KNOBS: Dict[str, Knob] = _declare(
             "base re-capture backoff in seconds (doubles per attempt; "
             "only waits when a sleep hook is installed — the simulated "
             "bench never sleeps)"
-        ),
-    ),
-    Knob(
-        name="REPRO_BATCHED_RENDER",
-        kind="flag",
-        default=True,
-        doc="set `0` to force the reference renderer",
-    ),
-    Knob(
-        name="REPRO_BATCHED_TRAIN",
-        kind="flag",
-        default=True,
-        doc=(
-            "set `0` to force the serial training + inference references "
-            "(KL fields, selection, one-vs-one fitting, hierarchical "
-            "prediction)"
-        ),
-    ),
-    Knob(
-        name="REPRO_COMPILED_INFER",
-        kind="flag",
-        default=True,
-        doc=(
-            "set `0` to force staged (uncompiled) feature extraction and "
-            "classification instead of the folded-GEMM compiled path"
         ),
     ),
     Knob(

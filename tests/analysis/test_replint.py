@@ -91,82 +91,11 @@ class TestRep001KnobRegistry:
             from ..util.knobs import get_flag
             from ..util.env import env_int
             __all__ = ["a", "b"]
-            a = get_flag("REPRO_BATCHED_TRAIN")
+            a = get_flag("REPRO_FAULT_SCREEN")
             b = env_int("REPRO_TEST_WHATEVER", 1)
             ''',
         )
         assert codes(lint(tmp_path)) == []
-
-
-class TestRep002Parity:
-    PAIR = '''
-    __all__ = ["frob", "frob_reference"]
-    def frob(x):
-        return x
-    def frob_reference(x):
-        return x
-    '''
-
-    def test_fires_without_a_parity_test(self, tmp_path):
-        write(tmp_path, "src/repro/dsp/frob.py", self.PAIR)
-        found = lint(tmp_path)
-        assert codes(found) == ["REP002"]
-        assert "frob_reference" in found[0].message
-
-    def test_quiet_when_a_test_references_both(self, tmp_path):
-        write(tmp_path, "src/repro/dsp/frob.py", self.PAIR)
-        write(
-            tmp_path,
-            "tests/dsp/test_frob.py",
-            '''
-            from repro.dsp.frob import frob, frob_reference
-            def test_parity():
-                assert frob(1) == frob_reference(1)
-            ''',
-        )
-        assert codes(lint(tmp_path)) == []
-
-    def test_needs_both_names_in_one_test_module(self, tmp_path):
-        write(tmp_path, "src/repro/dsp/frob.py", self.PAIR)
-        write(
-            tmp_path,
-            "tests/dsp/test_half.py",
-            '''
-            from repro.dsp.frob import frob
-            def test_fast_only():
-                assert frob(1) == 1
-            ''',
-        )
-        assert codes(lint(tmp_path)) == ["REP002"]
-
-    def test_private_references_are_exempt(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/dsp/frob.py",
-            '''
-            __all__ = []
-            def _frob(x):
-                return x
-            def _frob_reference(x):
-                return x
-            ''',
-        )
-        assert codes(lint(tmp_path)) == []
-
-    def test_method_pairs_are_checked(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/dsp/frob.py",
-            '''
-            __all__ = ["Frobber"]
-            class Frobber:
-                def transform(self, x):
-                    return x
-                def transform_reference(self, x):
-                    return x
-            ''',
-        )
-        assert codes(lint(tmp_path)) == ["REP002"]
 
 
 class TestRep003Determinism:
@@ -901,7 +830,7 @@ class TestRunnerAndCli:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in (
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
+            "REP001", "REP003", "REP004", "REP005", "REP006",
             "REP007", "REP008", "REP009", "REP010", "REP011", "REP012",
             "REP013", "REP014",
         ):
@@ -932,7 +861,7 @@ class TestRunnerAndCli:
             main(["--check-docs", "--no-lint", "--readme", str(readme)]) == 0
         )
         text = readme.read_text(encoding="utf-8")
-        assert "REPRO_BATCHED_TRAIN" in text
+        assert "REPRO_FAULT_SCREEN" in text
         assert text.endswith("tail\n")
 
 
@@ -953,4 +882,8 @@ class TestRepoIsClean:
         # each shipped rule code.
         from repro.analysis.core import RULE_REGISTRY
 
-        assert set(RULE_REGISTRY) == {f"REP{n:03d}" for n in range(1, 15)}
+        # REP002 (fast/reference parity) was retired with the reference
+        # twins; its code is not reused.
+        assert set(RULE_REGISTRY) == {
+            f"REP{n:03d}" for n in range(1, 15) if n != 2
+        }

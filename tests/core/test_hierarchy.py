@@ -9,8 +9,10 @@ import pytest
 
 from repro.core import SideChannelDisassembler, csa_config
 from repro.features import FeatureConfig
+from repro.features.compiled import CompiledPipeline
 from repro.ml import QDA
 from repro.power import Acquisition
+from tests.oracles import predict_instructions
 
 FAST = FeatureConfig(kl_threshold="auto:0.9", top_k=5, n_components=10)
 
@@ -114,13 +116,13 @@ class TestHierarchy:
 
 
 class TestBatchedInference:
-    """Parity of the grouped-batch level-2 walk vs the per-row reference."""
+    """Parity of the grouped-batch level-2 walk vs the per-row oracle."""
 
     def test_batched_matches_reference(self, small_world):
         acq, dis, g1, g5 = small_world
         windows = np.concatenate([g1.traces[:15], g5.traces[:15]])
-        batched = dis.predict_instructions(windows, adapt=False, batched=True)
-        reference = dis.predict_instructions_reference(windows, adapt=False)
+        batched = dis.predict_instructions(windows, adapt=False)
+        reference = predict_instructions(dis, windows, adapt=False)
         assert batched == reference
 
     def test_batched_matches_reference_with_given_groups(self, small_world):
@@ -128,15 +130,8 @@ class TestBatchedInference:
         windows = g5.traces[:20]
         groups = dis.predict_groups(windows, adapt=False)
         assert dis.predict_instructions(
-            windows, groups, adapt=False, batched=True
-        ) == dis.predict_instructions_reference(windows, groups, adapt=False)
-
-    def test_env_flag_forces_reference(self, small_world, monkeypatch):
-        acq, dis, g1, g5 = small_world
-        windows = g1.traces[:10]
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
-        forced = dis.predict_instructions(windows, adapt=False)
-        assert forced == dis.predict_instructions_reference(windows, adapt=False)
+            windows, groups, adapt=False
+        ) == predict_instructions(dis, windows, groups, adapt=False)
 
     def test_missing_level_parity(self, small_world):
         acq, dis, g1, g5 = small_world
@@ -144,8 +139,33 @@ class TestBatchedInference:
         fresh.group_model = dis.group_model
         windows = g1.traces[:8]
         assert fresh.predict_instructions(
-            windows, adapt=False, batched=True
-        ) == fresh.predict_instructions_reference(windows, adapt=False)
+            windows, adapt=False
+        ) == predict_instructions(fresh, windows, adapt=False)
+
+
+class TestCompileOnce:
+    """Each level compiles once, lazily or eagerly, never both."""
+
+    def test_compile_after_lazy_builds_nothing(self, small_world, monkeypatch):
+        acq, dis, g1, g5 = small_world
+        levels = [dis.group_model, *dis.instruction_models.values(),
+                  *dis.register_models.values()]
+        for level in levels:
+            level.predict(g1.traces[:4], adapt=False)  # compiles lazily
+        builds = []
+        build = CompiledPipeline.build.__func__
+
+        def counting_build(cls, *args, **kwargs):
+            builds.append(args[0])
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            CompiledPipeline, "build", classmethod(counting_build)
+        )
+        outcomes = dis.compile()
+        assert outcomes == {"group": True, "I1": True, "I5": True,
+                            "Rd": True, "Rr": True}
+        assert builds == []
 
 
 class TestCsaConfigHelper:

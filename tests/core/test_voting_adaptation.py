@@ -7,6 +7,7 @@ from repro.core import PairwiseVotingClassifier, ShiftReport
 from repro.features import FeatureConfig
 from repro.ml import QDA
 from repro.power import Acquisition
+from tests.oracles import voting_pair_points, voting_predict
 
 
 @pytest.fixture(scope="module")
@@ -60,26 +61,25 @@ class TestVoting:
         voting.fit(train)
         np.testing.assert_array_equal(
             voting.predict(test.traces),
-            voting.predict_reference(test.traces),
+            voting_predict(voting, test.traces),
         )
 
-    def test_batched_fit_matches_reference_fit(self, g1_subset, monkeypatch):
-        """REPRO_BATCHED_TRAIN=0 selects identical per-pair points."""
+    def test_batched_fit_matches_reference_fit(self, g1_subset):
+        """The batched fit selects the oracle's per-pair points."""
         train, test = g1_subset
-        config = FeatureConfig(kl_threshold="auto:0.9", n_components=3)
-        fast = PairwiseVotingClassifier(
-            config, classifier_factory=QDA, n_variables=3
+        voting = PairwiseVotingClassifier(
+            FeatureConfig(kl_threshold="auto:0.9", n_components=3),
+            classifier_factory=QDA,
+            n_variables=3,
         )
-        fast.fit(train)
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
-        slow = PairwiseVotingClassifier(
-            config, classifier_factory=QDA, n_variables=3
-        )
-        slow.fit(train)
-        assert fast._points == slow._points
-        np.testing.assert_array_equal(
-            fast.predict(test.traces), slow.predict(test.traces)
-        )
+        voting.fit(train)
+        fitted = {
+            (pair.code_a, pair.code_b): [
+                voting._points[c] for c in pair.columns
+            ]
+            for pair in voting._pairs
+        }
+        assert fitted == voting_pair_points(voting, train)
 
     def test_points_per_pair_default(self):
         voting = PairwiseVotingClassifier(n_variables=3)

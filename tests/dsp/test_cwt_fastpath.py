@@ -2,8 +2,8 @@
 
 The fast path routes scales through three kernels (full-grid inverse FFT,
 short-grid inverse FFT, narrowband GEMM); every test here pins it against
-``CWT.transform_reference`` — the seed's per-scale full-grid loop — at the
-acceptance tolerance (atol 1e-5).
+the ``cwt_transform`` oracle — the seed's per-scale full-grid loop — at
+the acceptance tolerance (atol 1e-5).
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 
 from repro.dsp import backend
 from repro.dsp.cwt import CWT, CwtConfig, clear_cwt_cache, cwt_magnitude, get_cwt
+from tests.oracles import cwt_transform
 
 ATOL = 1e-5
 
@@ -33,7 +34,7 @@ def test_batch_matches_reference(magnitude):
     operator = CWT(315, config)
     traces = _traces(24, 315)
     fast = operator.transform(traces)
-    reference = operator.transform_reference(traces)
+    reference = cwt_transform(operator, traces)
     assert fast.shape == reference.shape == (24, 50, 315)
     np.testing.assert_allclose(fast, reference, atol=ATOL, rtol=0)
 
@@ -45,7 +46,7 @@ def test_single_trace_matches_reference(magnitude):
     fast = operator.transform(trace)
     assert fast.shape == (50, 315)
     np.testing.assert_allclose(
-        fast, operator.transform_reference(trace), atol=ATOL, rtol=0
+        fast, cwt_transform(operator, trace), atol=ATOL, rtol=0
     )
 
 
@@ -63,7 +64,7 @@ def test_nondefault_geometries_match_reference(n_samples, config):
     traces = _traces(9, n_samples, seed=3)
     np.testing.assert_allclose(
         operator.transform(traces),
-        operator.transform_reference(traces),
+        cwt_transform(operator, traces),
         atol=ATOL,
         rtol=0,
     )
@@ -82,7 +83,18 @@ def test_double_precision_matches_reference():
     traces = _traces(8, 315, seed=7)
     np.testing.assert_allclose(
         operator.transform(traces),
-        operator.transform_reference(traces),
+        cwt_transform(operator, traces),
+        atol=1e-6,
+        rtol=0,
+    )
+
+
+def test_double_precision_real_part_matches_reference():
+    operator = CWT(315, CwtConfig(magnitude=False, precision="double"))
+    traces = _traces(8, 315, seed=9)
+    np.testing.assert_allclose(
+        operator.transform(traces),
+        cwt_transform(operator, traces),
         atol=1e-6,
         rtol=0,
     )

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.hierarchy import LevelModel
-from repro.dsp import CwtConfig
+from repro.dsp import CWT, CwtConfig
 from repro.features import (
     CompiledPipeline,
     CompileError,
@@ -258,15 +258,23 @@ class TestArtifact:
 class TestLevelModelRouting:
     """The hierarchy's lazy compiled routing and its staged fallback."""
 
-    def test_predictions_match_staged_path(self, single_fit, monkeypatch):
+    def test_predictions_match_staged_path(self, single_fit):
         pipe, traces, labels, names = single_fit
         clf = QDA().fit(pipe.transform(traces), labels)
         model = LevelModel(pipeline=pipe, classifier=clf, label_names=names)
         compiled_pred = model.predict(traces)
         assert model.compiled is not None  # lazily built
-        monkeypatch.setenv("REPRO_COMPILED_INFER", "0")
-        staged_pred = model.predict(traces)
+        staged_pred = clf.predict(pipe.transform(traces))
         assert (compiled_pred == staged_pred).mean() > 0.99
+
+    def test_compile_is_idempotent(self, single_fit):
+        pipe, traces, labels, names = single_fit
+        clf = QDA().fit(pipe.transform(traces), labels)
+        model = LevelModel(pipeline=pipe, classifier=clf, label_names=names)
+        model.predict(traces)
+        lazy = model.compiled
+        assert model.compile() is lazy
+        assert model.compile(dtype="float64") is not lazy
 
     def test_unsupported_classifier_falls_back(self, single_fit):
         pipe, traces, labels, names = single_fit
@@ -326,12 +334,32 @@ class TestNoCwtPath:
 class TestPipelineFoldedPath:
     """``FeaturePipeline`` inference itself rides the folded GEMM."""
 
-    def test_knob_off_matches_folded(self, single_fit, monkeypatch):
+    def test_folded_matches_staged_points(self, single_fit):
         pipe, traces, _, _ = single_fit
         folded = pipe.transform(traces)
-        monkeypatch.setenv("REPRO_COMPILED_INFER", "0")
-        staged = pipe.transform(traces)
+        staged_values = pipe._cwt.transform_points(traces, pipe.points)
+        staged = pipe.pca.transform(pipe._normalize(staged_values, fit=False))
         np.testing.assert_allclose(folded, staged, rtol=1e-4, atol=1e-4)
+
+    def test_point_matrix_shared_with_compiled_build(
+        self, single_fit, monkeypatch
+    ):
+        """One ``point_operator`` call serves transform and every build."""
+        pipe, traces, labels, _ = single_fit
+        restored = pickle.loads(pickle.dumps(pipe))  # empty operator cache
+        calls = []
+        point_operator = CWT.point_operator
+
+        def counting(self, points):
+            calls.append(len(points))
+            return point_operator(self, points)
+
+        monkeypatch.setattr(CWT, "point_operator", counting)
+        features = restored.transform(traces)
+        clf = QDA().fit(features, labels)
+        CompiledPipeline.build(restored, clf, dtype="float32")
+        CompiledPipeline.build(restored, clf, dtype="float64")
+        assert calls == [restored.n_points]
 
     def test_point_gemm_cache_dropped_from_pickle(self, single_fit):
         pipe, traces, _, _ = single_fit

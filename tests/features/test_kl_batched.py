@@ -1,4 +1,4 @@
-"""Parity tests: batched training-side KL/selection paths vs serial references."""
+"""Parity tests: batched training-side KL/selection paths vs loop oracles."""
 
 import itertools
 
@@ -13,9 +13,9 @@ from repro.features import (
     between_class_kl_matrix,
     select_all_pairs,
     within_class_kl,
-    within_class_kl_batched,
-    within_class_kl_reference,
 )
+from tests.oracles import dnvp_fit
+from tests.oracles import within_class_kl as within_class_kl_oracle
 
 
 def _random_stats(rng, n_programs=4, shape=(6, 17), n_per_program=30):
@@ -55,8 +55,8 @@ class TestWithinClassBatched:
     def test_matches_reference(self, n_programs):
         rng = np.random.default_rng(n_programs)
         stats = _random_stats(rng, n_programs=n_programs)
-        reference = within_class_kl_reference(stats)
-        batched = within_class_kl_batched(stats)
+        reference = within_class_kl_oracle(stats)
+        batched = within_class_kl(stats)
         assert_fused_parity(batched, reference)
 
     def test_asymmetric_variant_bit_exact(self):
@@ -64,43 +64,37 @@ class TestWithinClassBatched:
         rng = np.random.default_rng(7)
         stats = _random_stats(rng, n_programs=4)
         np.testing.assert_array_equal(
-            within_class_kl_batched(stats, symmetric=False),
-            within_class_kl_reference(stats, symmetric=False),
+            within_class_kl(stats, symmetric=False),
+            within_class_kl_oracle(stats, symmetric=False),
         )
 
     def test_single_program_zero(self):
         rng = np.random.default_rng(8)
         stats = _random_stats(rng, n_programs=1)
-        np.testing.assert_array_equal(
-            within_class_kl_batched(stats), np.zeros_like(stats.mean)
-        )
+        for symmetric in (True, False):
+            field = within_class_kl(stats, symmetric=symmetric)
+            np.testing.assert_array_equal(field, np.zeros_like(stats.mean))
+            np.testing.assert_array_equal(
+                field, within_class_kl_oracle(stats, symmetric=symmetric)
+            )
 
     def test_zero_variance_floor(self):
         """Degenerate (zero-variance) program stats stay finite."""
         rng = np.random.default_rng(14)
         stats = _random_stats(rng, n_programs=3)
         stats.program_vars[1] = 0.0
-        batched = within_class_kl_batched(stats)
+        batched = within_class_kl(stats)
         assert np.isfinite(batched).all()
-        assert_fused_parity(batched, within_class_kl_reference(stats))
+        assert_fused_parity(batched, within_class_kl_oracle(stats))
 
     def test_blocked_asymmetric_evaluation_matches(self, monkeypatch):
         """REPRO_KL_BLOCK_PAIRS bounds memory without changing results."""
         rng = np.random.default_rng(9)
         stats = _random_stats(rng, n_programs=6)
-        full = within_class_kl_batched(stats, symmetric=False)
+        full = within_class_kl(stats, symmetric=False)
         monkeypatch.setenv("REPRO_KL_BLOCK_PAIRS", "1")
-        blocked = within_class_kl_batched(stats, symmetric=False)
+        blocked = within_class_kl(stats, symmetric=False)
         np.testing.assert_array_equal(blocked, full)
-
-    def test_dispatch_follows_env_flag(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        stats = _random_stats(rng, n_programs=3)
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
-        forced_reference = within_class_kl(stats)
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "1")
-        forced_batched = within_class_kl(stats)
-        assert_fused_parity(forced_batched, forced_reference)
 
 
 class TestGroupedFromImages:
@@ -207,10 +201,8 @@ class TestDnvpSelectorParity:
         return _random_class_stats(np.random.default_rng(13), n_classes=5)
 
     def test_fit_matches_fit_reference(self, stats):
-        fast = DnvpSelector(kl_threshold="auto:0.6", top_k=4).fit(
-            stats, batched=True
-        )
-        slow = DnvpSelector(kl_threshold="auto:0.6", top_k=4).fit_reference(stats)
+        fast = DnvpSelector(kl_threshold="auto:0.6", top_k=4).fit(stats)
+        slow = dnvp_fit(DnvpSelector(kl_threshold="auto:0.6", top_k=4), stats)
         assert fast.points == slow.points
         assert fast.pair_points == slow.pair_points
         for sel_fast, sel_slow in zip(fast.pair_selections, slow.pair_selections):
@@ -220,12 +212,6 @@ class TestDnvpSelectorParity:
             )
             assert_fused_parity(sel_fast.between_field, sel_slow.between_field)
             assert sel_fast.relaxed == sel_slow.relaxed
-
-    def test_env_flag_forces_reference(self, stats, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
-        forced = DnvpSelector(kl_threshold="auto:0.6", top_k=4).fit(stats)
-        slow = DnvpSelector(kl_threshold="auto:0.6", top_k=4).fit_reference(stats)
-        assert forced.points == slow.points
 
     def test_select_all_pairs_parallel_matches_serial(self, stats):
         serial = select_all_pairs(stats, kl_threshold="auto:0.6", n_jobs=1)

@@ -178,9 +178,8 @@ class TestSinglePassFit:
     def test_cache_budget_gate(self, data):
         traces, _, _, _ = data
         pipe = FeaturePipeline(self._config())
-        assert pipe._image_cache_fits(traces)
-        big = np.zeros((10_000_000, 315), dtype=np.float32)
-        assert not pipe._image_cache_fits(big)
+        assert pipe._image_cache_fits(*traces.shape)
+        assert not pipe._image_cache_fits(10_000_000, 315)
 
 
 class TestNormalizationModes:

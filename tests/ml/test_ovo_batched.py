@@ -1,9 +1,15 @@
-"""Parity tests: shared-statistic OvO fitting vs the per-pair reference."""
+"""Parity tests: shared-statistic OvO fitting vs the per-pair oracle.
+
+The bases cover both input classes ``OneVsOneClassifier.fit`` accepts: a
+``fit_from_stats`` base (LDA / QDA / naive Bayes, assembled from shared
+per-class statistics) and a per-pair base (SVC, refit on every pair).
+"""
 
 import numpy as np
 import pytest
 
 from repro.ml import LDA, QDA, SVC, ClassStats, GaussianNB, OneVsOneClassifier
+from tests.oracles import ovo_fit, ovo_predict, ovo_vote_matrix
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +36,8 @@ class TestSharedStatFitParity:
     @pytest.mark.parametrize("factory", BASES)
     def test_votes_and_predictions_match_reference(self, data, factory):
         X, y = data
-        fast = OneVsOneClassifier(factory()).fit(X, y, batched=True)
-        slow = OneVsOneClassifier(factory()).fit_reference(X, y)
+        fast = OneVsOneClassifier(factory()).fit(X, y)
+        slow = ovo_fit(OneVsOneClassifier(factory()), X, y)
         np.testing.assert_array_equal(fast.vote_matrix(X), slow.vote_matrix(X))
         np.testing.assert_array_equal(fast.predict(X), slow.predict(X))
 
@@ -40,16 +46,16 @@ class TestSharedStatFitParity:
         X, y = data
         model = OneVsOneClassifier(factory()).fit(X, y)
         np.testing.assert_array_equal(
-            model.vote_matrix(X), model.vote_matrix_reference(X)
+            model.vote_matrix(X), ovo_vote_matrix(model, X)
         )
         np.testing.assert_array_equal(
-            model.predict(X), model.predict_reference(X)
+            model.predict(X), ovo_predict(model, X)
         )
 
     def test_lda_pair_templates_bit_exact(self, data):
         X, y = data
-        fast = OneVsOneClassifier(LDA()).fit(X, y, batched=True)
-        slow = OneVsOneClassifier(LDA()).fit_reference(X, y)
+        fast = OneVsOneClassifier(LDA()).fit(X, y)
+        slow = ovo_fit(OneVsOneClassifier(LDA()), X, y)
         for pair, estimator in fast.estimators_.items():
             np.testing.assert_array_equal(
                 estimator.decision_function(X),
@@ -58,8 +64,8 @@ class TestSharedStatFitParity:
 
     def test_qda_pair_templates_bit_exact(self, data):
         X, y = data
-        fast = OneVsOneClassifier(QDA()).fit(X, y, batched=True)
-        slow = OneVsOneClassifier(QDA()).fit_reference(X, y)
+        fast = OneVsOneClassifier(QDA()).fit(X, y)
+        slow = ovo_fit(OneVsOneClassifier(QDA()), X, y)
         for pair, estimator in fast.estimators_.items():
             np.testing.assert_array_equal(
                 estimator.decision_function(X),
@@ -69,8 +75,8 @@ class TestSharedStatFitParity:
     def test_gnb_soft_scores_within_tolerance(self, data):
         """The recombined smoothing term is algebraic, not bit-exact."""
         X, y = data
-        fast = OneVsOneClassifier(GaussianNB()).fit(X, y, batched=True)
-        slow = OneVsOneClassifier(GaussianNB()).fit_reference(X, y)
+        fast = OneVsOneClassifier(GaussianNB()).fit(X, y)
+        slow = ovo_fit(OneVsOneClassifier(GaussianNB()), X, y)
         for pair, estimator in fast.estimators_.items():
             np.testing.assert_allclose(
                 estimator.predict_proba(X),
@@ -78,13 +84,6 @@ class TestSharedStatFitParity:
                 rtol=0,
                 atol=1e-9,
             )
-
-    def test_env_flag_forces_reference(self, data, monkeypatch):
-        X, y = data
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
-        forced = OneVsOneClassifier(QDA()).fit(X, y)
-        slow = OneVsOneClassifier(QDA()).fit_reference(X, y)
-        np.testing.assert_array_equal(forced.predict(X), slow.predict(X))
 
     def test_svc_parallel_pair_fit_matches_serial(self, data):
         X, y = data

@@ -1,0 +1,48 @@
+"""Test oracles: slow, obviously-correct twins of the fast paths in ``src/``.
+
+Every stage of the pipeline has exactly one implementation in the
+package.  The straightforward formulation each fast path was derived
+from lives here instead — plain float64 loops, one term at a time — so
+the parity tests (and the ``*_reference`` throughput benches) can hold
+the fast path to it without shipping a second code path behind a knob.
+
+Each oracle takes the production object as its first argument, mirroring
+the method it checks, so it can also be swapped in with ``monkeypatch``
+(e.g. ``monkeypatch.setattr(DnvpSelector, "fit", dnvp_fit)``).
+
+=======================  ==================================================
+Oracle                   Fast path it checks
+=======================  ==================================================
+``cwt_transform``        ``repro.dsp.cwt.CWT.transform``
+``render_events``        ``repro.power.model.PowerModel.render_events``
+``within_class_kl``      ``repro.features.kl.within_class_kl``
+``dnvp_fit``             ``repro.features.selection.DnvpSelector.fit``
+``ovo_fit``              ``repro.ml.ovo.OneVsOneClassifier.fit``
+``ovo_vote_matrix``      ``repro.ml.ovo.OneVsOneClassifier.vote_matrix``
+``ovo_predict``          ``repro.ml.ovo.OneVsOneClassifier.predict``
+``voting_pair_points``   ``repro.core.voting.PairwiseVotingClassifier.fit``
+``voting_predict``       ``repro.core.voting.PairwiseVotingClassifier.predict``
+``predict_instructions`` ``repro.core.hierarchy.SideChannelDisassembler
+                         .predict_instructions``
+=======================  ==================================================
+"""
+
+from .cwt import cwt_transform
+from .hierarchy import predict_instructions
+from .kl import dnvp_fit, within_class_kl
+from .ovo import ovo_fit, ovo_predict, ovo_vote_matrix
+from .render import render_events
+from .voting import voting_pair_points, voting_predict
+
+__all__ = [
+    "cwt_transform",
+    "dnvp_fit",
+    "ovo_fit",
+    "ovo_predict",
+    "ovo_vote_matrix",
+    "predict_instructions",
+    "render_events",
+    "voting_pair_points",
+    "voting_predict",
+    "within_class_kl",
+]

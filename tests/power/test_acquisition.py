@@ -1,9 +1,14 @@
 """Acquisition framework tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.isa import OperandKind, REGISTRY
+from repro.isa import OperandKind, REGISTRY, assemble
 from repro.power import Acquisition, TraceSet, make_devices, random_instance
 from repro.power.acquisition import (
     DEFAULT_RD_POOL,
@@ -122,6 +127,39 @@ class TestMixedAndProgramCapture:
         assert [i.spec.key for i in capture.instructions] == [
             "LDI", "ADD", "NOP",
         ]
+
+    PROGRAM = "ldi r16, 3\nadd r16, r17\nlds r2, 0x0100\neor r2, r16"
+
+    def test_program_forms_capture_identically(self):
+        """Text, word list/tuple and instruction list seed the same capture."""
+        instructions = assemble(self.PROGRAM)
+        words = [w for inst in instructions for w in inst.encode()]
+        forms = [self.PROGRAM, words, tuple(words), instructions]
+        captures = [Acquisition(seed=8).capture_program(f) for f in forms]
+        for capture in captures[1:]:
+            np.testing.assert_array_equal(capture.windows, captures[0].windows)
+
+    def test_text_capture_is_identical_across_hash_seeds(self):
+        """No per-process salted ``hash()`` leaks into the capture seed."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import sys\n"
+            "from repro.power import Acquisition\n"
+            "capture = Acquisition(seed=8).capture_program("
+            f"{self.PROGRAM!r})\n"
+            "sys.stdout.write(capture.windows.tobytes().hex())\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ)  # replint: disable=REP001 -- passed through to a subprocess verbatim, no knob is read
+            env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env, capture_output=True, text=True, check=True,
+                ).stdout
+            )
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_reference_window_cached(self):
         acq = Acquisition(seed=7)

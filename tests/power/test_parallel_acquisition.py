@@ -1,4 +1,4 @@
-"""Determinism of parallel acquisition and the batched renderer.
+"""Determinism of parallel acquisition; the batched renderer vs its oracle.
 
 The parallelization contract is strict: captures are partitioned by
 per-file sub-seeds that are derived *before* any work is dispatched, so
@@ -11,6 +11,7 @@ import pytest
 from repro.power.acquisition import Acquisition, RegisterSampler
 from repro.sim.cpu import AvrCpu
 from repro.util.parallel import parallel_map, resolve_n_jobs
+from tests.oracles import render_events
 
 
 def _module_double(x):
@@ -174,20 +175,34 @@ class TestBatchedRenderer:
     @pytest.mark.parametrize("target_key", ["ADC", "LDS", "RJMP", "SBI"])
     def test_batched_matches_serial(self, bench, target_key):
         events = self._events(bench, target_key)
-        serial = bench.model.render_events_serial(events)
-        batched = bench.model.render_events(events, batched=True)
+        serial = render_events(bench.model, events)
+        batched = bench.model.render_events(events)
         np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
 
     def test_empty_stream(self, bench):
         np.testing.assert_array_equal(
-            bench.model.render_events([], batched=True),
-            bench.model.render_events_serial([]),
+            bench.model.render_events([]),
+            render_events(bench.model, []),
         )
 
-    def test_env_flag_disables_batching(self, bench, monkeypatch):
-        events = self._events(bench, "ADC", n_segments=4)
-        monkeypatch.setenv("REPRO_BATCHED_RENDER", "0")
-        forced_serial = bench.model.render_events(events)
-        np.testing.assert_array_equal(
-            forced_serial, bench.model.render_events_serial(events)
+    def test_skipped_and_two_word_events(self, bench):
+        """Skip bubbles and 32-bit second words render like the oracle."""
+        program = "\n".join(
+            [
+                "ldi r16, 5",
+                "cpse r16, r16",
+                "lds r1, 0x0100",
+                "sbrs r16, 0",
+                "sts 0x0102, r3",
+                "call 0x0000",
+            ]
+        )
+        events = AvrCpu(program).run(max_steps=6)
+        assert any(event.skipped for event in events)
+        assert any(len(event.opcode_words) == 2 for event in events)
+        np.testing.assert_allclose(
+            bench.model.render_events(events),
+            render_events(bench.model, events),
+            rtol=1e-9,
+            atol=1e-12,
         )

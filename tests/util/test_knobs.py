@@ -54,8 +54,6 @@ class TestDeclarations:
             "REPRO_CWT_MEM_MB",
             "REPRO_N_JOBS",
             "REPRO_PARALLEL_MIN_FILES",
-            "REPRO_BATCHED_RENDER",
-            "REPRO_BATCHED_TRAIN",
             "REPRO_KL_BLOCK_PAIRS",
             "REPRO_FIT_CACHE_MB",
         }
@@ -95,10 +93,10 @@ class TestGetters:
             assert get_float("REPRO_CWT_MEM_MB") == 1.0
 
     def test_get_flag_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCHED_TRAIN", raising=False)
-        assert get_flag("REPRO_BATCHED_TRAIN") is True
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
-        assert get_flag("REPRO_BATCHED_TRAIN") is False
+        monkeypatch.delenv("REPRO_FAULT_SCREEN", raising=False)
+        assert get_flag("REPRO_FAULT_SCREEN") is True
+        monkeypatch.setenv("REPRO_FAULT_SCREEN", "0")
+        assert get_flag("REPRO_FAULT_SCREEN") is False
 
     def test_get_str_rejects_unknown_choice(self, monkeypatch):
         monkeypatch.setenv("REPRO_FFT_BACKEND", "cuda")
@@ -111,7 +109,7 @@ class TestGetters:
 
     def test_wrong_kind_getter_raises(self):
         with pytest.raises(TypeError, match="flag"):
-            get_int("REPRO_BATCHED_TRAIN")
+            get_int("REPRO_FAULT_SCREEN")
         with pytest.raises(TypeError, match="int"):
             get_flag("REPRO_FFT_WORKERS")
 

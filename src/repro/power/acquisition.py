@@ -428,20 +428,23 @@ class Acquisition:
         shift: Optional[ProgramShift],
     ) -> np.ndarray:
         """Run + render + digitize one program file; returns the raw trace."""
-        cpu = AvrCpu(instructions)
-        self._randomize_state(cpu, rng)
-        events = cpu.run(max_steps=len(instructions))
-        analog = self.model.render_events(events)
-        if shift is not None:
-            analog = shift.apply(analog, self.geometry.samples_per_cycle)
-        analog = self.session.apply(analog)
-        noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-        saved_sigma = self.scope.noise_sigma
-        try:
-            self.scope.noise_sigma = saved_sigma * self.session.noise_scale
-            return self.scope.digitize(analog, noise_rng)
-        finally:
-            self.scope.noise_sigma = saved_sigma
+        with _obs.span("capture.sim", n=len(instructions)):
+            cpu = AvrCpu(instructions)
+            self._randomize_state(cpu, rng)
+            events = cpu.run(max_steps=len(instructions))
+        with _obs.span("capture.render", n=len(events)):
+            analog = self.model.render_events(events)
+        with _obs.span("capture.scope", n=len(events)):
+            if shift is not None:
+                analog = shift.apply(analog, self.geometry.samples_per_cycle)
+            analog = self.session.apply(analog)
+            noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
+            saved_sigma = self.scope.noise_sigma
+            try:
+                self.scope.noise_sigma = saved_sigma * self.session.noise_scale
+                return self.scope.digitize(analog, noise_rng)
+            finally:
+                self.scope.noise_sigma = saved_sigma
 
     def _windows(
         self,
@@ -872,17 +875,20 @@ class Acquisition:
             list or tuple) captures identically, in any process: the
             capture is seeded from the assembled flash words.
         """
-        cpu = AvrCpu(program)
-        rng = self._rng("program", hash(tuple(cpu.flash)))
-        self._randomize_state(cpu, rng)
-        events = cpu.run(max_steps=200_000)
-        analog = self.model.render_events(events)
-        shift = ProgramShift.sample(rng) if self.program_shift else None
-        if shift is not None:
-            analog = shift.apply(analog, self.geometry.samples_per_cycle)
-        analog = self.session.apply(analog)
-        noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-        trace = self.scope.digitize(analog, noise_rng)
+        with _obs.span("capture.sim"):
+            cpu = AvrCpu(program)
+            rng = self._rng("program", hash(tuple(cpu.flash)))
+            self._randomize_state(cpu, rng)
+            events = cpu.run(max_steps=200_000)
+        with _obs.span("capture.render", n=len(events)):
+            analog = self.model.render_events(events)
+        with _obs.span("capture.scope", n=len(events)):
+            shift = ProgramShift.sample(rng) if self.program_shift else None
+            if shift is not None:
+                analog = shift.apply(analog, self.geometry.samples_per_cycle)
+            analog = self.session.apply(analog)
+            noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
+            trace = self.scope.digitize(analog, noise_rng)
         windows = self._windows(trace, list(range(len(events))), rng)
         if self.reference_subtraction:
             windows = windows - self.reference_window()

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim.cpu import canonicalize
+from ..isa.specs import REGISTRY
 from ..sim.events import ExecEvent
 from .config import DEFAULT_GEOMETRY, PowerModelConfig, TraceGeometry
 from .device import DeviceProfile
@@ -66,6 +66,31 @@ def _register_operands(instruction) -> tuple:
     )
 
 
+#: Canonical class key -> (operand slots driving read ports A and B, skip
+#: unit?, bit-manipulation unit?): the execute terms fixed by the ISA.
+_CANONICAL_SHAPE: Dict[str, Tuple[Tuple[int, ...], bool, bool]] = {
+    spec.key: (
+        tuple(
+            slot
+            for slot, operand in enumerate(spec.operands)
+            if operand.kind in _PORT_KINDS
+        )[:2],
+        spec.semantics in _SKIP_SEMANTICS,
+        spec.semantics in _BIT_SEMANTICS,
+    )
+    for spec in REGISTRY.values()
+    if not spec.is_alias
+}
+
+#: Memory access kind -> component basis row key.
+_MEM_COMPONENTS = {
+    "load": "comp|mem_load",
+    "store": "comp|mem_store",
+    "io": "comp|io",
+    "flash": "comp|flash_data",
+}
+
+
 class PowerModel:
     """Renders instruction event streams into synthetic power traces.
 
@@ -88,6 +113,10 @@ class PowerModel:
         self._spc = geometry.samples_per_cycle
         self._aluop_cache: Dict[str, np.ndarray] = {}
         self._class_bias_cache: Dict[str, np.ndarray] = {}
+        # Basis rows per ALU semantics / per textual class (+ its group);
+        # keys are bounded by the instruction set.
+        self._aluop_rows: Dict[str, int] = {}
+        self._class_rows: Dict[str, Tuple[int, ...]] = {}
         self._build_envelopes()
 
     # -- deterministic weight construction ---------------------------------
@@ -284,6 +313,25 @@ class PowerModel:
         add("word2", self._env_word2)
         for b in range(8):
             add(f"sreg{b}", self._sreg_bank[b])
+        self._build_port_terms()
+
+    def _build_port_terms(self) -> None:
+        """Per port, per register: the (rows, weights) of its address decode."""
+        index = self._basis_index
+        self._port_terms: Dict[str, List[Tuple[tuple, tuple]]] = {
+            port: [
+                (
+                    (
+                        index[f"{port}|row{reg % 8}"],
+                        index[f"{port}|col{reg // 8}"],
+                        index[f"{port}|hw"],
+                    ),
+                    (1.0, 1.0, float(_popcount(reg))),
+                )
+                for reg in range(32)
+            ]
+            for port in self._port_row_banks
+        }
 
     def _basis_row(self, key: str, factory: Callable[[], np.ndarray]) -> int:
         """Index of a (possibly dynamic) basis row, appending on first use."""
@@ -363,156 +411,147 @@ class PowerModel:
         return cached
 
     # -- per-cycle coefficients ----------------------------------------------
-    def _fetch_coefficients(
-        self, words: Tuple[int, ...], prev_words: Tuple[int, ...]
-    ) -> List[Tuple[int, float]]:
-        """Fetch + decode terms for the instruction entering the pipe."""
-        if not words:
-            return []
+    def _add_fetch_terms(
+        self, coeff: np.ndarray, events: Sequence[ExecEvent]
+    ) -> None:
+        """Fetch + decode terms, vectorised over the instruction stream.
+
+        Cycle ``j`` fetches instruction ``j``: its first word's Hamming
+        weight, one decode line per set bit, and (from cycle 1 on) the
+        bus transitions from the previous instruction's last word.  No
+        execute term touches these rows, so adding them after the
+        execute terms leaves every cycle's sums unchanged.
+        """
+        n = len(events)
+        if not n:
+            return
         cfg = self.config
         index = self._basis_index
-        word = words[0]
-        terms = [(index["fetch_hw"], cfg.flash_hw_scale * _popcount(word))]
-        if prev_words:
-            transitions = _popcount(word ^ prev_words[-1])
-            terms.append((index["fetch_hd"], cfg.flash_hd_scale * transitions))
-        for b in range(16):
-            if (word >> b) & 1:
-                terms.append((index[f"decode{b}"], 1.0))
-        return terms
+        first = np.array([event.opcode_words[0] for event in events])
+        last = np.array([event.opcode_words[-1] for event in events])
+        bits = (first[:, None] >> np.arange(16)) & 1
+        toggles = ((first[1:] ^ last[:-1])[:, None] >> np.arange(16)) & 1
+        coeff[:n, [index[f"decode{b}"] for b in range(16)]] += bits
+        coeff[:n, index["fetch_hw"]] += cfg.flash_hw_scale * bits.sum(axis=1)
+        coeff[1:n, index["fetch_hd"]] += cfg.flash_hd_scale * toggles.sum(axis=1)
 
-    def _port_coefficients(
-        self, port: str, reg: int
-    ) -> List[Tuple[int, float]]:
-        index = self._basis_index
-        return [
-            (index[f"{port}|row{reg % 8}"], 1.0),
-            (index[f"{port}|col{reg // 8}"], 1.0),
-            (index[f"{port}|hw"], float(_popcount(reg))),
-        ]
+    def _execute_terms(
+        self, event: ExecEvent, rows: List[int], weights: List[float]
+    ) -> None:
+        """Append one event's execute-stage terms to ``rows``/``weights``.
 
-    def _execute_coefficients(
-        self, event: ExecEvent
-    ) -> List[Tuple[int, float]]:
-        """Execute-stage terms of one event, as ``(basis row, weight)`` pairs.
-
-        Each pair is one physical term of the cycle's activity; the
-        ``render_events`` test oracle accumulates the same terms one
-        waveform at a time.
+        Each ``(row, weight)`` pair is one physical term of the cycle's
+        activity, in a fixed order; the ``render_events`` test oracle
+        accumulates the same terms one waveform at a time.  Everything
+        that depends only on the instruction class (port basis rows,
+        ALU/class/group rows, unit flags) comes from caches whose keys
+        are bounded by the ISA.
         """
         cfg = self.config
         index = self._basis_index
         if event.skipped:
             # Pipeline bubble: flush residue only.
-            return [(index["comp|skip"], 0.30)]
+            rows.append(index["comp|skip"])
+            weights.append(0.30)
+            return
 
-        canonical = canonicalize(event.instruction)
+        canonical = event.canonical
         semantics = canonical.spec.semantics
-        terms: List[Tuple[int, float]] = []
+        port_slots, skip_unit, bit_unit = _CANONICAL_SHAPE[canonical.spec.key]
 
         # Register-file address decode: the AVR register file decodes the
         # opcode's d/r fields on both read ports every cycle, regardless
         # of whether the operation consumes the data — so port activity
         # is keyed on operand *addresses*, not on semantic reads.
-        port_regs = _register_operands(canonical)
-        if port_regs:
-            terms.extend(self._port_coefficients("read_a", port_regs[0]))
-        if len(port_regs) > 1:
-            terms.extend(self._port_coefficients("read_b", port_regs[1]))
+        for port, slot in zip(("read_a", "read_b"), port_slots):
+            port_rows, port_weights = self._port_terms[port][canonical.values[slot]]
+            rows.extend(port_rows)
+            weights.extend(port_weights)
         if event.reads:
-            terms.append((index["comp|regfile_read"], 1.0))
+            rows.append(index["comp|regfile_read"])
+            weights.append(1.0)
             for read in event.reads[:2]:
-                terms.append(
-                    (index["op_a"], cfg.data_hw_scale * _popcount(read.value))
-                )
+                rows.append(index["op_a"])
+                weights.append(cfg.data_hw_scale * _popcount(read.value))
         if event.writes:
-            terms.append((index["comp|regfile_write"], 1.0))
+            rows.append(index["comp|regfile_write"])
+            weights.append(1.0)
             write = event.writes[0]
-            terms.extend(self._port_coefficients("write", write.reg))
-            terms.append(
-                (
-                    index["result"],
-                    cfg.data_hd_scale * _popcount(write.old ^ write.new),
-                )
-            )
+            port_rows, port_weights = self._port_terms["write"][write.reg]
+            rows.extend(port_rows)
+            weights.extend(port_weights)
+            rows.append(index["result"])
+            weights.append(cfg.data_hd_scale * _popcount(write.old ^ write.new))
         if event.alu_result is not None or event.alu_operands:
-            terms.append((index["comp|alu"], 1.0))
-            row = self._basis_row(
-                f"aluop|{semantics}", lambda: self._aluop_signature(semantics)
-            )
-            terms.append((row, 1.0))
+            row = self._aluop_rows.get(semantics)
+            if row is None:
+                row = self._aluop_rows[semantics] = self._basis_row(
+                    f"aluop|{semantics}", lambda: self._aluop_signature(semantics)
+                )
+            rows.append(index["comp|alu"])
+            weights.append(1.0)
+            rows.append(row)
+            weights.append(1.0)
             for key, value in zip(("op_a", "op_b"), event.alu_operands):
-                terms.append(
-                    (index[key], cfg.data_hw_scale * _popcount(value))
-                )
+                rows.append(index[key])
+                weights.append(cfg.data_hw_scale * _popcount(value))
             if event.alu_result is not None:
-                terms.append(
-                    (
-                        index["result"],
-                        cfg.data_hw_scale * _popcount(event.alu_result),
-                    )
-                )
+                rows.append(index["result"])
+                weights.append(cfg.data_hw_scale * _popcount(event.alu_result))
         for access in event.mem:
-            if access.kind == "load":
-                terms.append((index["comp|mem_load"], 1.0))
-            elif access.kind == "store":
-                terms.append((index["comp|mem_store"], 1.0))
-            elif access.kind == "io":
-                terms.append((index["comp|io"], 1.0))
-            elif access.kind == "flash":
-                terms.append((index["comp|flash_data"], 1.0))
-            terms.append(
-                (
-                    index["mem_addr"],
-                    cfg.data_hw_scale * _popcount(access.address & 0xFF),
-                )
-            )
-            terms.append(
-                (
-                    index["mem_data"],
-                    cfg.data_hw_scale * _popcount(access.value),
-                )
-            )
+            component = _MEM_COMPONENTS.get(access.kind)
+            if component is not None:
+                rows.append(index[component])
+                weights.append(1.0)
+            rows.append(index["mem_addr"])
+            weights.append(cfg.data_hw_scale * _popcount(access.address & 0xFF))
+            rows.append(index["mem_data"])
+            weights.append(cfg.data_hw_scale * _popcount(access.value))
         if event.branch_taken is not None:
-            if semantics in _SKIP_SEMANTICS:
-                amp = 1.0 if event.branch_taken else 0.55
-                terms.append((index["comp|skip"], amp))
+            if skip_unit:
+                rows.append(index["comp|skip"])
+                weights.append(1.0 if event.branch_taken else 0.55)
             else:
-                amp = 1.0 if event.branch_taken else 0.45
-                terms.append((index["comp|branch"], amp))
-        if semantics in _BIT_SEMANTICS:
-            terms.append((index["comp|bit_unit"], 1.0))
+                rows.append(index["comp|branch"])
+                weights.append(1.0 if event.branch_taken else 0.45)
+        if bit_unit:
+            rows.append(index["comp|bit_unit"])
+            weights.append(1.0)
         toggled = event.sreg_toggled
         if toggled:
             for b in range(8):
                 if (toggled >> b) & 1:
-                    terms.append((index[f"sreg{b}"], 1.0))
+                    rows.append(index[f"sreg{b}"])
+                    weights.append(1.0)
         if len(event.opcode_words) > 1:
             # Second word of a 32-bit instruction is fetched while executing.
-            terms.append(
-                (
-                    index["word2"],
-                    cfg.flash_hw_scale * _popcount(event.opcode_words[1]),
-                )
-            )
+            rows.append(index["word2"])
+            weights.append(cfg.flash_hw_scale * _popcount(event.opcode_words[1]))
         # Control-path residues keyed on the *textual* class and its
         # Table 2 group, not the canonical encoding.  Physically,
         # ``TST r5`` and ``AND r5, r5`` share one opcode, but the paper's
         # near-perfect separation of groups containing aliases implies its
         # templates treat every profiled class as having a distinct
         # signature; we model that explicitly (see DESIGN.md §2).
-        class_key = event.instruction.spec.key
-        row = self._basis_row(
-            f"class|{class_key}", lambda: self._class_bias(class_key)
-        )
-        terms.append((row, 1.0))
-        group = event.instruction.spec.group
+        spec = event.instruction.spec
+        class_rows = self._class_rows.get(spec.key)
+        if class_rows is None:
+            class_rows = self._class_rows[spec.key] = self._new_class_rows(spec)
+        rows.extend(class_rows)
+        weights.extend((1.0,) * len(class_rows))
+
+    def _new_class_rows(self, spec) -> Tuple[int, ...]:
+        """Basis rows of a class's residue and of its group's, in that order."""
+        class_key = spec.key
+        out = [
+            self._basis_row(f"class|{class_key}", lambda: self._class_bias(class_key))
+        ]
+        group = spec.group
         if group is not None:
-            row = self._basis_row(
-                f"groupbias|{group}", lambda: self._group_bias(group)
+            out.append(
+                self._basis_row(f"groupbias|{group}", lambda: self._group_bias(group))
             )
-            terms.append((row, 1.0))
-        return terms
+        return tuple(out)
 
     # -- public API ----------------------------------------------------------
     def render_events(self, events: Sequence[ExecEvent]) -> np.ndarray:
@@ -528,27 +567,29 @@ class PowerModel:
         """
         spc = self._spc
         n = len(events)
-        # Coefficient pass (may append dynamic basis rows, so the dense
-        # matrix is sized only after all events are visited).
-        per_cycle: List[List[Tuple[int, float]]] = [
-            self._execute_coefficients(event) for event in events
-        ]
-        for i in range(n - 1):
-            per_cycle[i].extend(
-                self._fetch_coefficients(
-                    events[i + 1].opcode_words, events[i].opcode_words
-                )
-            )
-        pad_fetch = (
-            self._fetch_coefficients(events[0].opcode_words, ()) if n else []
-        )
+        # Execute pass (may append dynamic basis rows, so the dense
+        # matrix is sized only after all events are visited).  Event i
+        # executes in cycle i + 1; cycle 0 is the leading pad.
+        rows: List[int] = []
+        weights: List[float] = []
+        ends = []
+        for event in events:
+            self._execute_terms(event, rows, weights)
+            ends.append(len(rows))
         if self._basis_matrix is None:
             self._basis_matrix = np.stack(self._basis_rows)
         basis = self._basis_matrix
-        coeff = np.zeros((n + 1, basis.shape[0]))
-        for i, terms in enumerate([pad_fetch] + per_cycle):
-            for row, weight in terms:
-                coeff[i, row] += weight
+        n_basis = basis.shape[0]
+        counts = np.diff(np.array([0] + ends))
+        cycles = np.repeat(np.arange(1, n + 1), counts)
+        # bincount adds each cell's weights in input order, as the
+        # per-term loop it replaces did, so the sums are bit-identical.
+        coeff = np.bincount(
+            cycles * n_basis + np.array(rows, dtype=np.intp),
+            weights=np.array(weights, dtype=np.float64),
+            minlength=(n + 1) * n_basis,
+        ).reshape(n + 1, n_basis)
+        self._add_fetch_terms(coeff, events)
         trace = np.tile(self._clock, n + 2)
         trace[: (n + 1) * spc] += (coeff @ basis).ravel()
         return self.device.gain * trace + self.device.offset

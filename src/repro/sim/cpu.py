@@ -948,7 +948,6 @@ class AvrCpu:
         self.halted = False
         self.cycle_count = 0
         self._skip_next = False
-        self._decode_cache: Dict[int, Tuple[Instruction, int]] = {}
         # Scratch used by ALU handlers within one step.
         self._rd_old = 0
         self._rr_old = 0
@@ -970,12 +969,8 @@ class AvrCpu:
         return [int(w) & 0xFFFF for w in program]
 
     def decode_at(self, pc: int) -> Tuple[Instruction, int]:
-        """Decode (with caching) the instruction at word address ``pc``."""
-        cached = self._decode_cache.get(pc)
-        if cached is None:
-            cached = decode_one(self.flash[pc:pc + 2])
-            self._decode_cache[pc] = cached
-        return cached
+        """Decode the instruction at word address ``pc``."""
+        return decode_one(self.flash[pc:pc + 2])
 
     def step(self) -> ExecEvent:
         """Execute one instruction and return its event record.
@@ -987,7 +982,8 @@ class AvrCpu:
         if self.halted or self.state.pc >= len(self.flash):
             raise ProgramEnd(f"pc=0x{self.state.pc:04X}")
         pc = self.state.pc
-        instruction, n_words = self.decode_at(pc)
+        instruction, n_words = decode_one(self.flash[pc:pc + 2])
+        canonical = canonicalize(instruction)
         opcode_words = tuple(self.flash[pc:pc + n_words])
         self._next_pc = pc + n_words
         sreg_before = self.state.sreg
@@ -1005,9 +1001,9 @@ class AvrCpu:
                 sreg_before=sreg_before,
                 sreg_after=sreg_before,
                 skipped=True,
+                canonical=canonical,
             )
 
-        canonical = canonicalize(instruction)
         handler = _EXEC.get(canonical.spec.semantics)
         if handler is None:  # pragma: no cover - table completeness guard
             raise NotImplementedError(f"no semantics for {canonical.spec.key}")
@@ -1024,6 +1020,7 @@ class AvrCpu:
             cycles=cycles,
             sreg_before=sreg_before,
             sreg_after=self.state.sreg,
+            canonical=canonical,
             **out,
         )
 

@@ -64,6 +64,9 @@ class ExecEvent:
         skipped: True when this instruction was skipped by a preceding
             skip instruction (it still passes through the pipeline and
             consumes a cycle, but performs no architectural work).
+        canonical: ``instruction`` with any alias rewritten to the
+            canonical form the core executes (``TST r5`` -> ``AND r5, r5``);
+            the simulator computes it once and the power model reuses it.
     """
 
     instruction: Instruction
@@ -79,6 +82,7 @@ class ExecEvent:
     sreg_after: int = 0
     branch_taken: Optional[bool] = None
     skipped: bool = False
+    canonical: Optional[Instruction] = None
 
     @property
     def key(self) -> str:

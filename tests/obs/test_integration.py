@@ -5,6 +5,7 @@ import numpy as np
 from repro.dsp.cwt import clear_cwt_cache, get_cwt
 from repro.experiments.__main__ import main as experiments_main
 from repro.obs.report import load, validate
+from repro.obs.sinks import write_jsonl
 from repro.obs.trace import Collector, activate, span
 from repro.power import Acquisition
 from repro.power.cache import TraceCache
@@ -117,3 +118,27 @@ class TestCliTrace:
         traces = np.random.default_rng(0).normal(size=(4, 64)).astype(np.float32)
         get_cwt(64).transform(traces)
         assert any(s.name == "cwt.batch" for s in collector.spans)
+
+
+class TestCaptureSpans:
+    def test_capture_file_splits_into_sim_render_scope(self, tmp_path):
+        collector = activate(Collector())
+        Acquisition(seed=3).capture_class("ADD", 8, n_programs=2)
+        path = str(tmp_path / "capture.jsonl")
+        write_jsonl(collector, path)
+        assert validate(path) == []
+        paths = load(path).paths
+        file_path = next(p for p in paths if p.endswith("capture.file"))
+        for child in ("capture.sim", "capture.render", "capture.scope"):
+            stats = paths[f"{file_path}/{child}"]
+            assert stats.calls == 2
+            assert stats.cum_ms > 0.0
+
+    def test_capture_program_records_its_stages(self):
+        collector = activate(Collector())
+        acquisition = Acquisition(seed=3)
+        acquisition.reference_window()  # captured once, with its own spans
+        before = len(collector.spans)
+        acquisition.capture_program("nop\nadd r1, r2\nnop")
+        names = [s.name for s in collector.spans[before:]]
+        assert names == ["capture.sim", "capture.render", "capture.scope"]

@@ -6,14 +6,15 @@ from lives here instead — plain float64 loops, one term at a time — so
 the parity tests (and the ``*_reference`` throughput benches) can hold
 the fast path to it without shipping a second code path behind a knob.
 
-Each oracle takes the production object as its first argument, mirroring
-the method it checks, so it can also be swapped in with ``monkeypatch``
+An oracle of a method takes the production object as its first argument,
+mirroring the method it checks, so it can also be swapped in with ``monkeypatch``
 (e.g. ``monkeypatch.setattr(DnvpSelector, "fit", dnvp_fit)``).
 
 =======================  ==================================================
 Oracle                   Fast path it checks
 =======================  ==================================================
 ``cwt_transform``        ``repro.dsp.cwt.CWT.transform``
+``decode_one``           ``repro.isa.disasm.decode_one``
 ``render_events``        ``repro.power.model.PowerModel.render_events``
 ``within_class_kl``      ``repro.features.kl.within_class_kl``
 ``dnvp_fit``             ``repro.features.selection.DnvpSelector.fit``
@@ -28,6 +29,7 @@ Oracle                   Fast path it checks
 """
 
 from .cwt import cwt_transform
+from .decode import decode_one
 from .hierarchy import predict_instructions
 from .kl import dnvp_fit, within_class_kl
 from .ovo import ovo_fit, ovo_predict, ovo_vote_matrix
@@ -36,6 +38,7 @@ from .voting import voting_pair_points, voting_predict
 
 __all__ = [
     "cwt_transform",
+    "decode_one",
     "dnvp_fit",
     "ovo_fit",
     "ovo_predict",

@@ -6,7 +6,7 @@ import pytest
 from repro.core.malware import GoldenReference
 from repro.core.sequence import SequenceDisassembler
 from repro.dsp import CWT
-from repro.isa import assemble_line
+from repro.isa import assemble_line, decode_one
 from repro.isa.disasm import iter_decode
 from repro.isa.operands import OperandKind, is_register
 from repro.ml import GaussianHMM
@@ -29,12 +29,13 @@ class TestIsaHelpers:
         assert not is_register(OperandKind.IMM8)
         assert not is_register(OperandKind.REL7)
 
-    def test_cpu_decode_at_caches(self):
-        cpu = AvrCpu("nop\nadd r1, r2")
-        first = cpu.decode_at(1)
-        second = cpu.decode_at(1)
-        assert first is second
-        assert first[0].spec.key == "ADD"
+    def test_cpu_decode_at_matches_decode_one(self):
+        cpu = AvrCpu("nop\nadd r1, r2\nlds r4, 0x0100")
+        assert cpu.decode_at(1) == decode_one(cpu.flash[1:])
+        assert cpu.decode_at(1) == cpu.decode_at(1)
+        assert cpu.decode_at(1)[0].spec.key == "ADD"
+        instruction, used = cpu.decode_at(2)
+        assert (instruction.key, instruction.values, used) == ("LDS", (4, 0x0100), 2)
 
 
 class TestDspHelpers:

@@ -19,7 +19,12 @@ import numpy as np
 
 from ..dsp.cwt import CWT, get_cwt
 from ..features.pca import PCA
-from ..features.pipeline import FeatureConfig, compute_class_stats
+from ..features.pipeline import (
+    FeatureConfig,
+    compute_class_stats,
+    folded_point_matrix,
+    point_values,
+)
 from ..features.selection import select_all_pairs
 from ..ml.base import Classifier
 from ..ml.discriminant import QDA
@@ -69,15 +74,15 @@ class PairwiseVotingClassifier:
         self._pairs: List[_PairModel] = []
         self._points: List[Tuple[int, int]] = []
         self._cwt: Optional[CWT] = None
+        self._point_matrix: Optional[np.ndarray] = None
         self._feature_mean = None
         self._feature_std = None
         self.label_names: Tuple[str, ...] = ()
 
     def _point_values(self, traces: np.ndarray) -> np.ndarray:
-        if self._cwt is not None:
-            return self._cwt.transform_points(traces, self._points)
-        times = np.array([k for (_, k) in self._points])
-        return np.asarray(traces, dtype=np.float64)[:, times]
+        return point_values(
+            traces, self._points, self._cwt, self._point_matrix
+        )
 
     def _normalize(self, values: np.ndarray, fit: bool) -> np.ndarray:
         """Column normalization of the unified DNVP matrix (CSA: batch)."""
@@ -112,7 +117,6 @@ class PairwiseVotingClassifier:
             trace_set.program_ids,
             trace_set.label_names,
             self._cwt,
-            cfg.block_size,
         )
         # Select each pair's own points, then build one unified gather list.
         pair_codes = itertools.combinations(range(len(self.label_names)), 2)
@@ -129,6 +133,8 @@ class PairwiseVotingClassifier:
         }
         unified = sorted({p for pts in pair_points.values() for p in pts})
         self._points = unified
+        if self._cwt is not None:
+            self._point_matrix = folded_point_matrix(self._cwt, unified)
         column_of = {point: i for i, point in enumerate(unified)}
 
         values = self._normalize(self._point_values(trace_set.traces), fit=True)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -372,23 +372,17 @@ class CWT:
                     self._run_gemm_stage(stage, spectrum, view)
         return out[0] if single else out
 
-    def transform_blocks(
-        self, traces: np.ndarray, block_size: int = 512
-    ) -> Iterator[np.ndarray]:
-        """Yield transform results in blocks (memory-friendly)."""
-        for start in range(0, len(traces), block_size):
-            yield self.transform(traces[start:start + block_size])
-
     def transform_points(
         self, traces: np.ndarray, points, workers: Optional[int] = None
     ) -> np.ndarray:
         """Evaluate the CWT only at selected (scale, time) points.
 
-        Much cheaper than :meth:`transform` when few scales are needed —
-        the classification path only ever reads the unified DNVP points.
-        The forward FFT runs once on the shared full grid; only the
-        scales that actually appear in ``points`` are inverted (and GEMM
-        scales evaluate just the requested time columns).
+        The staged evaluation: the forward FFT runs once on the shared
+        full grid; only the scales that actually appear in ``points``
+        are inverted (and GEMM scales evaluate just the requested time
+        columns).  Fitting and inference read selected points through
+        the folded :meth:`point_operator` GEMM instead; this method is
+        the per-stage reference that GEMM is held to.
 
         Args:
             traces: ``(n, n_samples)`` array.

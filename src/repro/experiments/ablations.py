@@ -19,6 +19,11 @@ from ..core.hierarchy import SideChannelDisassembler
 from ..obs import log
 from ..dsp.cwt import get_cwt
 from ..features.pca import PCA
+from ..features.pipeline import (
+    compute_class_stats,
+    folded_point_matrix,
+    point_values,
+)
 from ..isa.groups import classification_classes
 from ..ml.discriminant import QDA
 from ..power.acquisition import Acquisition
@@ -136,12 +141,18 @@ def run_selection_ablation(scale="bench", checkpoint_dir=None) -> ResultTable:
     def variance_stage():
         # Variance ranking baseline: top-N plane points by pooled variance.
         cwt = get_cwt(train.n_samples)
-        images = np.concatenate(list(cwt.transform_blocks(train.traces, 512)))
-        variance = images.var(axis=0)
+        variance = compute_class_stats(
+            train.traces,
+            np.zeros(len(train.traces), dtype=np.int64),
+            train.program_ids,
+            ["all"],
+            cwt,
+        )["all"].var
         flat = np.argsort(variance, axis=None)[::-1][:200]
         points = [tuple(np.unravel_index(i, variance.shape)) for i in flat]
-        train_vals = cwt.transform_points(train.traces, points)
-        test_vals = cwt.transform_points(test.traces, points)
+        matrix = folded_point_matrix(cwt, points)
+        train_vals = point_values(train.traces, points, cwt, matrix)
+        test_vals = point_values(test.traces, points, cwt, matrix)
         mean, std = train_vals.mean(axis=0), train_vals.std(axis=0)
         std[std == 0] = 1.0
         pca = PCA(n_components=scale.components(43))

@@ -15,7 +15,8 @@ from typing import List, Tuple
 import numpy as np
 
 from ..dsp.cwt import get_cwt
-from ..features.kl import WaveletStats, within_class_kl
+from ..features.kl import within_class_kl
+from ..features.pipeline import compute_class_stats
 from ..features.selection import select_pair_points
 from ..power.acquisition import Acquisition
 from .results import ResultTable
@@ -48,13 +49,10 @@ def run(scale="bench", kl_threshold="auto") -> Tuple[ResultTable, Fig2Fields]:
         list(PAIR), scale.n_train_per_class, scale.n_programs
     )
     cwt = get_cwt(trace_set.n_samples)
-    stats = {}
-    for key in PAIR:
-        rows = trace_set.class_indices(key)
-        images = cwt.transform(trace_set.traces[rows])
-        stats[key] = WaveletStats.from_images(
-            images, trace_set.program_ids[rows]
-        )
+    stats = compute_class_stats(
+        trace_set.traces, trace_set.labels, trace_set.program_ids,
+        trace_set.label_names, cwt,
+    )
     within_adc = within_class_kl(stats["ADC"])
     within_and = within_class_kl(stats["AND"])
     selection = select_pair_points(

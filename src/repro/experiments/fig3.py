@@ -18,7 +18,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..dsp.cwt import get_cwt
-from ..features.kl import WaveletStats, between_class_kl, within_class_kl
+from ..features.kl import between_class_kl, within_class_kl
+from ..features.pipeline import compute_class_stats, point_values
 from ..features.selection import local_maxima_2d
 from ..power.acquisition import Acquisition
 from .results import ResultTable
@@ -58,13 +59,10 @@ def run(scale="bench") -> Tuple[ResultTable, Dict[str, np.ndarray]]:
         ["ADC", "AND"], scale.n_train_per_class, 2
     )
     cwt = get_cwt(trace_set.n_samples)
-    stats = {}
-    for key in ("ADC", "AND"):
-        rows = trace_set.class_indices(key)
-        stats[key] = WaveletStats.from_images(
-            cwt.transform(trace_set.traces[rows]),
-            trace_set.program_ids[rows],
-        )
+    stats = compute_class_stats(
+        trace_set.traces, trace_set.labels, trace_set.program_ids,
+        trace_set.label_names, cwt,
+    )
     between = between_class_kl(stats["ADC"], stats["AND"])
     within = np.maximum(
         within_class_kl(stats["ADC"]), within_class_kl(stats["AND"])
@@ -84,13 +82,11 @@ def run(scale="bench") -> Tuple[ResultTable, Dict[str, np.ndarray]]:
     best = stable_peaks[:3]
 
     and_rows = trace_set.class_indices("AND")
-    and_images = cwt.transform(trace_set.traces[and_rows])
+    and_traces = trace_set.traces[and_rows]
     program_ids = trace_set.program_ids[and_rows]
 
     def extract(points):
-        scales = np.array([p[0] for p in points])
-        times = np.array([p[1] for p in points])
-        values = and_images[:, scales, times].astype(np.float64)
+        values = point_values(and_traces, points, cwt)
         # standardize columns so the score is scale-free
         values = (values - values.mean(axis=0)) / (values.std(axis=0) + 1e-12)
         return values

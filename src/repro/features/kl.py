@@ -26,18 +26,20 @@ reciprocal per distribution (precomputed per program/class, not per
 pair).  It is algebraically identical to the reference composition of
 two ``gaussian_kl`` calls; floating-point rounding differs by ~1e-15
 absolute, far inside the 1e-9 parity budget (the per-pair loops are the
-``within_class_kl`` / ``dnvp_fit`` test oracles).  The plain asymmetric
-batched path keeps the per-pair arithmetic and stays bit-exact.
+``within_class_kl`` / ``dnvp_fit`` test oracles).
+
+The per-point Gaussians themselves are streamed: :class:`WaveletStats`
+is built from a float64 count, mean and M2 per program file, merged
+block by block with Chan et al.'s parallel update, so no caller ever
+holds a class's full time-frequency plane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-from ..util.knobs import get_int
 
 __all__ = [
     "StackedClassStats",
@@ -51,16 +53,12 @@ __all__ = [
 
 _VAR_FLOOR = 1e-12
 
-
-def _pair_block_size() -> int:
-    """Pairs evaluated per block in the batched KL paths.
-
-    Each pair occupies one ``(n_scales, n_samples)`` float64 plane per
-    intermediate; blocking bounds peak memory without changing results
-    (``REPRO_KL_BLOCK_PAIRS``, default 128 ≈ 16 MiB of intermediates on
-    the paper's 50×315 plane).
-    """
-    return get_int("REPRO_KL_BLOCK_PAIRS")
+#: Rows per block of the streamed statistics (:meth:`WaveletStats.stream`).
+#: A constant, not a knob: block boundaries fix the merge order, so the
+#: statistics — and every model fitted on them — cannot depend on a
+#: memory setting.  256 rows of the paper's 50×315 plane are 16 MiB of
+#: float32 images per block.
+STATS_BLOCK_ROWS = 256
 
 
 def gaussian_kl(
@@ -115,50 +113,54 @@ class WaveletStats:
     def from_images(
         cls, images: np.ndarray, program_ids: Optional[np.ndarray] = None
     ) -> "WaveletStats":
-        """Compute statistics from ``(n, n_scales, n_samples)`` images."""
+        """Statistics of an in-memory ``(n, n_scales, n_samples)`` stack.
+
+        The same streamed accumulator as :meth:`stream`, fed by slicing.
+        """
         images = np.asarray(images)
         if program_ids is None:
             program_ids = np.zeros(len(images), dtype=np.int64)
+        return cls.stream(program_ids, lambda rows: images[rows])
+
+    @classmethod
+    def stream(
+        cls,
+        program_ids: np.ndarray,
+        images_of: Callable[[np.ndarray], np.ndarray],
+    ) -> "WaveletStats":
+        """Statistics of images produced one block of rows at a time.
+
+        Rows are visited in stable program-id order, ``STATS_BLOCK_ROWS``
+        at a time; ``images_of(rows)`` returns the images of those rows.
+        Each program's float64 count, mean and M2 absorb the block with
+        Chan et al.'s parallel update, and the pooled moments follow from
+        the per-program ones by the law of total variance — so at most
+        one block of images is ever held.
+        """
         program_ids = np.asarray(program_ids)
-        unique, counts = np.unique(program_ids, return_counts=True)
-        if len(unique) > 1 and np.all(counts == counts[0]):
-            # Balanced captures (the common case): one grouped reduction
-            # over a (P, c, S, T) view instead of P masked slices, with
-            # float64 accumulation directly over the (float32) images —
-            # no up-cast copy.  A stable sort keeps each program's rows
-            # in capture order; already-sorted ids reshape in place.
-            order = np.argsort(program_ids, kind="stable")
-            if np.array_equal(order, np.arange(len(order))):
-                sorted_images = images
-            else:
-                sorted_images = images[order]
-            grouped = sorted_images.reshape(
-                (len(unique), int(counts[0])) + images.shape[1:]
-            )
-            p_means = grouped.mean(axis=1, dtype=np.float64)
-            p_vars = grouped.var(axis=1, dtype=np.float64)
-            # Pooled moments by the (balanced) law of total variance —
-            # exact up to float64 rounding, two fewer full passes.
-            mean = p_means.mean(axis=0, dtype=np.float64)
-            var = p_vars.mean(axis=0, dtype=np.float64)
-            var += np.square(p_means - mean).mean(axis=0, dtype=np.float64)
-        else:
-            images64 = np.asarray(images, dtype=np.float64)
-            p_means = np.empty((len(unique),) + images.shape[1:])
-            p_vars = np.empty_like(p_means)
-            for row, pid in enumerate(unique):
-                block = images64[program_ids == pid]
-                p_means[row] = block.mean(axis=0, dtype=np.float64)
-                p_vars[row] = block.var(axis=0, dtype=np.float64)
-            mean = images64.mean(axis=0, dtype=np.float64)
-            var = images64.var(axis=0, dtype=np.float64)
+        order = np.argsort(program_ids, kind="stable")
+        moments: Dict[object, Tuple[int, np.ndarray, np.ndarray]] = {}
+        for start in range(0, len(order), STATS_BLOCK_ROWS):
+            rows = order[start:start + STATS_BLOCK_ROWS]
+            block = images_of(rows)
+            ids = program_ids[rows]
+            cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(ids)]):
+                _merge_moments(moments, ids[lo], block[lo:hi])
+        counts = np.array([n for n, _, _ in moments.values()])
+        p_means = np.stack([mean for _, mean, _ in moments.values()])
+        p_vars = np.stack([m2 / n for n, _, m2 in moments.values()])
+        mean = np.average(p_means, axis=0, weights=counts)
+        var = np.average(
+            p_vars + np.square(p_means - mean), axis=0, weights=counts
+        )
         return cls(
             mean=mean,
             var=var,
             program_means=p_means,
             program_vars=p_vars,
-            program_ids=unique,
-            n=len(images),
+            program_ids=np.array(list(moments), dtype=program_ids.dtype),
+            n=len(program_ids),
         )
 
     @property
@@ -167,12 +169,40 @@ class WaveletStats:
         return len(self.program_ids)
 
 
+def _merge_moments(
+    moments: Dict[object, Tuple[int, np.ndarray, np.ndarray]],
+    program: object,
+    run: np.ndarray,
+) -> None:
+    """Fold one run of a program's images into its ``(count, mean, M2)``.
+
+    A program's first run sets its moments directly (bit-identical to
+    NumPy's ``mean``/``var`` over the run); later runs merge by Chan et
+    al.'s pairwise update.
+    """
+    count = len(run)
+    mean = run.mean(axis=0, dtype=np.float64)
+    m2 = np.subtract(run, mean, dtype=np.float64)
+    np.multiply(m2, m2, out=m2)
+    m2 = m2.sum(axis=0, dtype=np.float64)
+    if program not in moments:
+        moments[program] = (count, mean, m2)
+        return
+    n_a, mean_a, m2_a = moments[program]
+    total = n_a + count
+    delta = mean - mean_a
+    mean_a += delta * (count / total)
+    m2_a += m2 + np.square(delta) * (n_a * count / total)
+    moments[program] = (total, mean_a, m2_a)
+
+
 def between_class_kl(
-    stats_a: WaveletStats, stats_b: WaveletStats, symmetric: bool = True
+    stats_a: WaveletStats, stats_b: WaveletStats
 ) -> np.ndarray:
     """The between-class field ``D_KL^B`` over the time-frequency plane."""
-    fn = symmetric_gaussian_kl if symmetric else gaussian_kl
-    return fn(stats_a.mean, stats_a.var, stats_b.mean, stats_b.var)
+    return symmetric_gaussian_kl(
+        stats_a.mean, stats_a.var, stats_b.mean, stats_b.var
+    )
 
 
 def _fused_jeffreys_pair(
@@ -203,40 +233,22 @@ def _fused_jeffreys_pair(
     return out
 
 
-def within_class_kl(stats: WaveletStats, symmetric: bool = True) -> np.ndarray:
+def within_class_kl(stats: WaveletStats) -> np.ndarray:
     """The within-class field ``D_KL^W``: worst drift across program pairs.
 
     Returns the element-wise *maximum* over all program-file pairs — a
     point is "not-varying" only if it is stable for **every** pair
     (Definition 3.1 quantifies over all ``m != n``).
 
-    The symmetric (default) path uses the log-free Jeffreys kernel with
-    per-program reciprocals precomputed once and two reused scratch
-    planes, then applies the monotonic affine tail after the pair-axis
-    ``max`` — algebraically identical to the per-pair composition of two
-    :func:`gaussian_kl` calls, with ~1e-15 absolute rounding differences.
-    The asymmetric path gathers upper-triangle index pairs into
-    ``(n_pairs, ...)`` stacks (blocked by ``REPRO_KL_BLOCK_PAIRS``) and is
-    bit-exact with the per-pair loop.
+    Uses the log-free Jeffreys kernel with per-program reciprocals
+    precomputed once and two reused scratch planes, then applies the
+    monotonic affine tail after the pair-axis ``max`` — algebraically
+    identical to the per-pair composition of two :func:`gaussian_kl`
+    calls, with ~1e-15 absolute rounding differences.
     """
     n_programs = stats.n_programs
     if n_programs < 2:
         return np.zeros_like(stats.mean)
-    if not symmetric:
-        rows_i, rows_j = np.triu_indices(n_programs, k=1)
-        worst = np.zeros_like(stats.mean)
-        block = _pair_block_size()
-        for start in range(0, len(rows_i), block):
-            sel_i = rows_i[start:start + block]
-            sel_j = rows_j[start:start + block]
-            fields = gaussian_kl(
-                stats.program_means[sel_i],
-                stats.program_vars[sel_i],
-                stats.program_means[sel_j],
-                stats.program_vars[sel_j],
-            )
-            np.maximum(worst, fields.max(axis=0), out=worst)
-        return worst
     means = np.asarray(stats.program_means, dtype=np.float64)
     varis = np.maximum(
         np.asarray(stats.program_vars, dtype=np.float64), _VAR_FLOOR
@@ -300,33 +312,18 @@ class StackedClassStats:
         return np.triu_indices(self.n_classes, k=1)
 
 
-def between_class_kl_matrix(
-    stacked: StackedClassStats, symmetric: bool = True
-) -> np.ndarray:
+def between_class_kl_matrix(stacked: StackedClassStats) -> np.ndarray:
     """All pairwise between-class fields, shape ``(n_pairs, S, T)``.
 
     Row ``p`` corresponds to ``between_class_kl(stats_a, stats_b)`` for
     the ``p``-th class pair in ``itertools.combinations(names, 2)``
-    order (identical to ``zip(*stacked.pair_indices())``).  The
-    symmetric (default) rows come from the log-free Jeffreys kernel
-    writing straight into the output stack — algebraically identical to
-    the per-pair calls with ~1e-15 absolute rounding differences; the
-    asymmetric rows are bit-exact.
+    order (identical to ``zip(*stacked.pair_indices())``).  The rows
+    come from the log-free Jeffreys kernel writing straight into the
+    output stack — algebraically identical to the per-pair calls with
+    ~1e-15 absolute rounding differences.
     """
     rows_i, rows_j = stacked.pair_indices()
     out = np.empty((len(rows_i),) + stacked.means.shape[1:], dtype=np.float64)
-    if not symmetric:
-        block = _pair_block_size()
-        for start in range(0, len(rows_i), block):
-            sel_i = rows_i[start:start + block]
-            sel_j = rows_j[start:start + block]
-            out[start:start + block] = gaussian_kl(
-                stacked.means[sel_i],
-                stacked.vars[sel_i],
-                stacked.means[sel_j],
-                stacked.vars[sel_j],
-            )
-        return out
     means = np.asarray(stacked.means, dtype=np.float64)
     varis = np.maximum(np.asarray(stacked.vars, dtype=np.float64), _VAR_FLOOR)
     inv = 1.0 / varis

@@ -15,16 +15,16 @@ import numpy as np
 
 from ..dsp.cwt import CWT, CwtConfig, get_cwt
 from ..obs import trace as _obs
-from ..util.knobs import get_int
 from .kl import WaveletStats
 from .pca import PCA
 from .selection import DnvpSelector, Point
 
 __all__ = [
-    "ClassImages",
     "FeatureConfig",
     "FeaturePipeline",
     "compute_class_stats",
+    "folded_point_matrix",
+    "point_values",
 ]
 
 
@@ -34,47 +34,79 @@ def compute_class_stats(
     program_ids: np.ndarray,
     label_names: Sequence[str],
     cwt: Optional[CWT],
-    block_size: int = 512,
-    image_cache: Optional[Dict[str, "ClassImages"]] = None,
 ) -> Dict[str, WaveletStats]:
     """Per-class wavelet statistics (time-domain pseudo-images if no CWT).
 
-    Args:
-        image_cache: optional dict that receives the full per-class
-            time-frequency images (with their row indices into
-            ``traces``) so the caller can reuse them — e.g. to gather
-            selected-point feature values without a second CWT pass.
+    Each class is transformed and reduced one block of rows at a time
+    (:meth:`WaveletStats.stream`), so only one block's images are ever
+    held; ``REPRO_CWT_MEM_MB`` bounds the transform inside a block.
     """
+    traces = np.asarray(traces)  # replint: disable=REP009 -- row gather only; both sinks re-pin (cwt.transform casts to its real dtype, the pseudo-image branch pins float32)
     labels = np.asarray(labels)
     program_ids = np.asarray(program_ids)
+
+    def images_of(rows: np.ndarray) -> np.ndarray:
+        if cwt is not None:
+            return cwt.transform(traces[rows])
+        return np.asarray(traces[rows], dtype=np.float32)[:, None, :]
+
     stats: Dict[str, WaveletStats] = {}
     with _obs.span("kl.stats", n_classes=len(label_names)):
         for code, name in enumerate(label_names):
             rows = np.flatnonzero(labels == code)
             if len(rows) == 0:
                 raise ValueError(f"class {name!r} has no traces")
-            blocks = []
-            for start in range(0, len(rows), block_size):
-                chunk = np.asarray(traces)[rows[start:start + block_size]]  # replint: disable=REP009 -- row gather only; both sinks re-pin (cwt.transform casts to its real dtype, the else-branch pins float32)
-                if cwt is not None:
-                    blocks.append(cwt.transform(chunk))
-                else:
-                    blocks.append(
-                        np.asarray(chunk, dtype=np.float32)[:, None, :]
-                    )
-            images = np.concatenate(blocks)
-            stats[name] = WaveletStats.from_images(images, program_ids[rows])
-            if image_cache is not None:
-                image_cache[name] = ClassImages(rows=rows, images=images)
+            stats[name] = WaveletStats.stream(
+                program_ids[rows], lambda block: images_of(rows[block])
+            )
     return stats
 
 
-@dataclass(frozen=True)
-class ClassImages:
-    """One class's full images plus their row positions in the trace set."""
+def folded_point_matrix(cwt: CWT, points: Sequence[Point]) -> np.ndarray:
+    """The selected points as one real ``(n_samples, P or 2P)`` matrix.
 
-    rows: np.ndarray
-    images: np.ndarray
+    Stacks ``[Re K | Im K]`` (or just ``Re K`` without magnitude) of
+    ``K = cwt.point_operator(points)``, in float64.
+    """
+    operator = cwt.point_operator(points)
+    if cwt.config.magnitude:
+        matrix = np.hstack([operator.real, operator.imag])
+    else:
+        matrix = operator.real
+    return np.ascontiguousarray(matrix)
+
+
+def point_values(
+    traces: np.ndarray,
+    points: Sequence[Point],
+    cwt: Optional[CWT] = None,
+    matrix: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Selected-point values of raw traces: the one route, fit and serve.
+
+    With a CWT this is one GEMM against ``matrix`` (the
+    :func:`folded_point_matrix` of ``points``, built here when omitted)
+    plus a modulus; without one, the time-domain samples at the
+    points' time indices.  Inputs are quantized to the transform's
+    working precision first, but the product itself runs in float64: a
+    float32 product is not row-deterministic across batch shapes (BLAS
+    blocking), and single-trace and batched transforms must agree.
+    """
+    if cwt is None:
+        times = np.array([k for (_, k) in points])
+        return np.asarray(traces, dtype=np.float64)[:, times]
+    if matrix is None:
+        matrix = folded_point_matrix(cwt, points)
+    quantize_dtype = (
+        np.float32 if cwt.config.precision == "single" else np.float64
+    )
+    batch = np.asarray(traces, dtype=quantize_dtype)
+    product = batch.astype(np.float64, copy=False) @ matrix
+    if not cwt.config.magnitude:
+        return product
+    real = product[:, : len(points)]
+    imag = product[:, len(points):]
+    return np.sqrt(real * real + imag * imag)
 
 
 @dataclass(frozen=True)
@@ -106,7 +138,9 @@ class FeatureConfig:
         use_cwt: when False, skip the wavelet transform and select points
             directly on time-domain samples (ablation baseline).
         cwt: wavelet parameters.
-        block_size: CWT batch size during fitting (memory control).
+        min_batch_for_adaptation: smallest evaluation batch that gets
+            ``"batch"`` normalization; smaller ones use training
+            statistics.
         n_jobs: worker count for the per-pair DNVP selection fan
             (``None`` → ``REPRO_N_JOBS`` → serial; results identical for
             any value).
@@ -118,7 +152,6 @@ class FeatureConfig:
     normalize: str = "train_stats"
     use_cwt: bool = True
     cwt: CwtConfig = field(default_factory=CwtConfig)
-    block_size: int = 512
     min_batch_for_adaptation: int = 8
     n_jobs: Optional[int] = None
 
@@ -160,74 +193,24 @@ class FeaturePipeline:
         return state
 
     # -- internals -----------------------------------------------------------
-    def _images(self, traces: np.ndarray) -> np.ndarray:
-        """Full time-frequency images (or pseudo-images in time domain)."""
-        if self.config.use_cwt:
-            assert self._cwt is not None
-            return self._cwt.transform(traces)
-        return np.asarray(traces, dtype=np.float32)[:, None, :]
-
-    def _point_values(
-        self, traces: np.ndarray, staged: bool = False
-    ) -> np.ndarray:
-        """Unified DNVP feature values for raw traces.
-
-        Inference-time calls (``staged=False``) are one matrix product
-        against the selected points' folded CWT functionals plus a
-        modulus, skipping all per-stage FFT/inverse machinery.  Fitting
-        keeps the staged kernels (``staged=True``) so the normalization
-        statistics and PCA basis are bit-identical to earlier releases.
-        """
-        if self.config.use_cwt:
-            assert self._cwt is not None
-            if staged:
-                return self._cwt.transform_points(traces, self.points)
-            return self._folded_point_values(traces)
-        times = np.array([k for (_, k) in self.points])
-        return np.asarray(traces, dtype=np.float64)[:, times]
+    def _point_values(self, traces: np.ndarray) -> np.ndarray:
+        """Unified DNVP feature values for raw traces (fit and transform)."""
+        if not self.config.use_cwt:
+            return point_values(traces, self.points)
+        return point_values(
+            traces, self.points, self._cwt, self._folded_points()
+        )
 
     def _folded_points(self) -> np.ndarray:
-        """The selected points as one real ``(n_samples, P or 2P)`` matrix.
+        """:func:`folded_point_matrix` of the fitted points, built once.
 
-        Stacks ``[Re K | Im K]`` (or just ``Re K`` without magnitude) of
-        ``K = CWT.point_operator(points)``, in float64.  Built once per
-        fitted point set and shared by :meth:`transform` and
+        Shared by fitting, :meth:`transform` and
         :meth:`repro.features.compiled.CompiledPipeline.build`.
         """
         if self._point_gemm is None:
             assert self._cwt is not None
-            operator = self._cwt.point_operator(self.points)
-            if self.config.cwt.magnitude:
-                matrix = np.hstack([operator.real, operator.imag])
-            else:
-                matrix = operator.real
-            self._point_gemm = np.ascontiguousarray(matrix)
+            self._point_gemm = folded_point_matrix(self._cwt, self.points)
         return self._point_gemm
-
-    def _folded_point_values(self, traces: np.ndarray) -> np.ndarray:
-        """Selected-point values via the precomputed linear operator.
-
-        Inputs are quantized to the transform's working precision first
-        (so the fold sees the same operand the staged path would) but
-        the stacked ``[Re K | Im K]`` GEMM itself runs in float64: a
-        float32 product is not row-deterministic across batch shapes
-        (BLAS blocking), and downstream tests hold single-trace and
-        batched transforms to ~1e-9 of each other.
-        """
-        matrix = self._folded_points()
-        quantize_dtype = (
-            np.float32
-            if self.config.cwt.precision == "single"
-            else np.float64
-        )
-        batch = np.asarray(traces, dtype=quantize_dtype)
-        product = batch.astype(np.float64, copy=False) @ matrix
-        if not self.config.cwt.magnitude:
-            return product
-        n_points = len(self.points)
-        real = product[:, :n_points]
-        imag = product[:, n_points:]
-        return np.sqrt(real * real + imag * imag)
 
     def _normalize(
         self, values: np.ndarray, fit: bool, adapt: Optional[bool] = None
@@ -256,23 +239,6 @@ class FeaturePipeline:
         return (values - self._feature_mean) / self._feature_std
 
     # -- public API -----------------------------------------------------------
-    def class_statistics(
-        self,
-        traces: np.ndarray,
-        labels: np.ndarray,
-        program_ids: np.ndarray,
-        label_names: Sequence[str],
-    ) -> Dict[str, WaveletStats]:
-        """Per-class wavelet statistics (pass 1 of fitting)."""
-        return compute_class_stats(
-            traces,
-            labels,
-            program_ids,
-            label_names,
-            self._cwt if self.config.use_cwt else None,
-            self.config.block_size,
-        )
-
     def fit(
         self,
         traces: np.ndarray,
@@ -294,12 +260,10 @@ class FeaturePipeline:
     ) -> np.ndarray:
         """Fit and return the training features in one pass.
 
-        Equivalent to ``fit(...)`` followed by ``transform(traces)`` up
-        to float32 rounding of the wavelet magnitudes: the normalized
-        point values computed while fitting PCA are projected directly
-        instead of re-deriving them from the raw traces, so the
-        training set never goes through the wavelet transform a second
-        time.
+        Equal to ``fit(...)`` followed by ``transform(traces,
+        adapt=False)``: fitting takes its point values from the same
+        folded GEMM as :meth:`transform`, and those normalized values
+        are projected directly instead of being recomputed.
         """
         values = self._fit(traces, labels, program_ids, label_names)
         assert self.pca is not None
@@ -324,21 +288,18 @@ class FeaturePipeline:
         with _obs.span(
             "features.fit", n=len(traces), n_classes=len(label_names)
         ):
-            traces = np.asarray(traces)  # replint: disable=REP009 -- shape/indexing view; every downstream sink (cwt.transform*, float32 fallback) pins its own dtype at entry
+            traces = np.asarray(traces)  # replint: disable=REP009 -- shape/indexing view; every downstream sink (cwt.transform, point_values) pins its own dtype at entry
             self._n_samples = traces.shape[1]
             if self.config.use_cwt:
                 # Shared cached operator: every pipeline fitted on the same
                 # geometry reuses one set of precomputed response matrices.
                 self._cwt = get_cwt(self._n_samples, self.config.cwt)
-            image_cache = {} if self._image_cache_fits(*traces.shape) else None
             stats = compute_class_stats(
                 traces,
                 labels,
                 program_ids,
                 label_names,
                 self._cwt if self.config.use_cwt else None,
-                self.config.block_size,
-                image_cache=image_cache,
             )
             with _obs.span("kl.select", n_classes=len(label_names)):
                 self.selector = DnvpSelector(
@@ -348,44 +309,12 @@ class FeaturePipeline:
                 ).fit(stats)
             self.points = self.selector.points
             self._point_gemm = None
-            if image_cache is not None:
-                values = self._gather_point_values(image_cache, len(traces))
-            else:
-                values = self._point_values(traces, staged=True)
-            values = self._normalize(values, fit=True)
+            values = self._normalize(self._point_values(traces), fit=True)
             with _obs.span("pca.fit", n_points=len(self.points)):
                 self.pca = PCA(n_components=self.config.n_components).fit(
                     values
                 )
             return values
-
-    def _image_cache_fits(self, n_traces: int, n_samples: int) -> bool:
-        """Whether holding ``n_traces`` training images in memory fits.
-
-        The statistics pass already materializes every class's images;
-        holding on to them lets the selected-point values be gathered by
-        fancy indexing instead of a second CWT pass over the training
-        set.  Capped by ``REPRO_FIT_CACHE_MB`` (0 disables the cache).
-        """
-        if not self.config.use_cwt:
-            return False
-        budget_mb = get_int("REPRO_FIT_CACHE_MB")
-        if budget_mb <= 0:
-            return False
-        n_scales = self.config.cwt.n_scales
-        total = n_traces * n_scales * n_samples * 4
-        return total <= budget_mb * (1 << 20)
-
-    def _gather_point_values(
-        self, image_cache: Dict[str, ClassImages], n_traces: int
-    ) -> np.ndarray:
-        """Selected-point values gathered from the cached class images."""
-        scales = np.array([j for (j, _) in self.points])
-        times = np.array([k for (_, k) in self.points])
-        values = np.empty((n_traces, len(self.points)), dtype=np.float64)
-        for cached in image_cache.values():
-            values[cached.rows] = cached.images[:, scales, times]
-        return values
 
     def transform(
         self,
@@ -406,7 +335,7 @@ class FeaturePipeline:
         """
         if self.pca is None or self._n_samples is None:
             raise RuntimeError("pipeline is not fitted")
-        traces = np.asarray(traces)  # replint: disable=REP009 -- shape validation view; _point_values feeds cwt.transform_points, which pins the dtype at its boundary
+        traces = np.asarray(traces)  # replint: disable=REP009 -- shape validation view; point_values pins the dtype at its boundary
         if traces.shape[1] != self._n_samples:
             raise ValueError(
                 f"expected {self._n_samples}-sample traces, "

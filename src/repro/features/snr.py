@@ -19,6 +19,7 @@ import numpy as np
 
 from ..dsp.cwt import CwtConfig, get_cwt
 from ..power.dataset import TraceSet
+from .pipeline import compute_class_stats
 
 __all__ = ["snr_field", "snr_report"]
 
@@ -49,6 +50,11 @@ def snr_field(
     noise = np.stack(
         [values[labels == c].var(axis=0, dtype=np.float64) for c in classes]
     )
+    return _snr(means, noise, var_floor)
+
+
+def _snr(means: np.ndarray, noise: np.ndarray, var_floor: float) -> np.ndarray:
+    """SNR from stacked ``(n_classes, ...)`` class means and variances."""
     signal = means.var(axis=0, dtype=np.float64)
     return signal / np.maximum(noise.mean(axis=0, dtype=np.float64), var_floor)
 
@@ -60,18 +66,32 @@ def snr_report(
 ) -> dict:
     """Summary SNR statistics of a labelled trace set.
 
+    With ``use_cwt`` the field covers the time-frequency plane; it comes
+    from the streamed class statistics (:func:`compute_class_stats`), so
+    the full plane of the trace set is never held.
+
     Returns:
         dict with the SNR ``field``, its ``max``, the ``argmax`` point,
         and the fraction of points with SNR above 1 (``exploitable``).
     """
     if use_cwt:
-        operator = get_cwt(trace_set.n_samples, cwt_config)
-        values = np.concatenate(
-            list(operator.transform_blocks(trace_set.traces, 512))
+        classes, codes = np.unique(trace_set.labels, return_inverse=True)
+        if len(classes) < 2:
+            raise ValueError("SNR needs at least two classes")
+        stats = compute_class_stats(
+            trace_set.traces,
+            codes,
+            trace_set.program_ids,
+            [str(c) for c in classes],
+            get_cwt(trace_set.n_samples, cwt_config),
+        ).values()
+        field = _snr(
+            np.stack([s.mean for s in stats]),
+            np.stack([s.var for s in stats]),
+            1e-12,
         )
     else:
-        values = trace_set.traces
-    field = snr_field(values, trace_set.labels)
+        field = snr_field(trace_set.traces, trace_set.labels)
     return {
         "field": field,
         "max": float(field.max()),

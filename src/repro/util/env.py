@@ -1,9 +1,8 @@
 """Environment-variable knob parsing shared by every ``REPRO_*`` knob.
 
 Knobs tune resources and policies — memory budgets, worker counts and
-cutovers, fault injection, observability (``REPRO_CWT_MEM_MB``,
-``REPRO_N_JOBS``, ``REPRO_PARALLEL_MIN_FILES``, ...); none selects between
-alternative implementations of a stage.  The parsing rules live here so
+cutovers, fault injection, observability; none selects between
+alternative implementations of a stage, and none changes a fitted model.  The parsing rules live here so
 each knob behaves identically: flags accept ``0/false/off`` (case-insensitive)
 as disabled and anything else as enabled; numeric knobs fall back to
 their default on unparsable values instead of raising at import time.

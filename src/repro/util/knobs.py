@@ -230,24 +230,6 @@ KNOBS: Dict[str, Knob] = _declare(
         ),
     ),
     Knob(
-        name="REPRO_KL_BLOCK_PAIRS",
-        kind="int",
-        default=128,
-        minimum=1,
-        doc="pair-block size of the asymmetric batched KL paths (results unchanged)",
-    ),
-    Knob(
-        name="REPRO_FIT_CACHE_MB",
-        kind="int",
-        default=256,
-        minimum=0,
-        doc=(
-            "image-cache budget for single-pass pipeline fitting (`0` "
-            "disables; second CWT pass is skipped when the training set "
-            "fits)"
-        ),
-    ),
-    Knob(
         name="REPRO_OBS",
         kind="flag",
         default=False,

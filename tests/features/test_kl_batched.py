@@ -59,24 +59,12 @@ class TestWithinClassBatched:
         batched = within_class_kl(stats)
         assert_fused_parity(batched, reference)
 
-    def test_asymmetric_variant_bit_exact(self):
-        """The plain-KL batched path keeps the reference arithmetic."""
-        rng = np.random.default_rng(7)
-        stats = _random_stats(rng, n_programs=4)
-        np.testing.assert_array_equal(
-            within_class_kl(stats, symmetric=False),
-            within_class_kl_oracle(stats, symmetric=False),
-        )
-
     def test_single_program_zero(self):
         rng = np.random.default_rng(8)
         stats = _random_stats(rng, n_programs=1)
-        for symmetric in (True, False):
-            field = within_class_kl(stats, symmetric=symmetric)
-            np.testing.assert_array_equal(field, np.zeros_like(stats.mean))
-            np.testing.assert_array_equal(
-                field, within_class_kl_oracle(stats, symmetric=symmetric)
-            )
+        field = within_class_kl(stats)
+        np.testing.assert_array_equal(field, np.zeros_like(stats.mean))
+        np.testing.assert_array_equal(field, within_class_kl_oracle(stats))
 
     def test_zero_variance_floor(self):
         """Degenerate (zero-variance) program stats stay finite."""
@@ -87,18 +75,9 @@ class TestWithinClassBatched:
         assert np.isfinite(batched).all()
         assert_fused_parity(batched, within_class_kl_oracle(stats))
 
-    def test_blocked_asymmetric_evaluation_matches(self, monkeypatch):
-        """REPRO_KL_BLOCK_PAIRS bounds memory without changing results."""
-        rng = np.random.default_rng(9)
-        stats = _random_stats(rng, n_programs=6)
-        full = within_class_kl(stats, symmetric=False)
-        monkeypatch.setenv("REPRO_KL_BLOCK_PAIRS", "1")
-        blocked = within_class_kl(stats, symmetric=False)
-        np.testing.assert_array_equal(blocked, full)
-
 
 class TestGroupedFromImages:
-    """Balanced grouped-reduction statistics vs the masked-slice loop."""
+    """Streamed per-program statistics vs the masked-slice loop."""
 
     def test_balanced_matches_masked_loop(self):
         rng = np.random.default_rng(16)
@@ -142,7 +121,8 @@ class TestGroupedFromImages:
         np.testing.assert_array_equal(
             stats.program_means[1], images[5:].mean(axis=0)
         )
-        np.testing.assert_array_equal(stats.var, images.var(axis=0))
+        # Pooled by the law of total variance over the two programs.
+        np.testing.assert_allclose(stats.var, images.var(axis=0), rtol=1e-12)
 
 
 class TestBetweenClassMatrix:
@@ -169,31 +149,6 @@ class TestBetweenClassMatrix:
         assert list(zip(rows_i.tolist(), rows_j.tolist())) == list(
             itertools.combinations(range(4), 2)
         )
-
-    def test_blocked_asymmetric_evaluation_matches(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        stacked = StackedClassStats.from_stats(_random_class_stats(rng, 6))
-        full = between_class_kl_matrix(stacked, symmetric=False)
-        monkeypatch.setenv("REPRO_KL_BLOCK_PAIRS", "2")
-        np.testing.assert_array_equal(
-            between_class_kl_matrix(stacked, symmetric=False), full
-        )
-
-    def test_asymmetric_rows_bit_exact(self):
-        rng = np.random.default_rng(15)
-        stats = _random_class_stats(rng, n_classes=4)
-        names = list(stats)
-        matrix = between_class_kl_matrix(
-            StackedClassStats.from_stats(stats, names), symmetric=False
-        )
-        for row, (name_a, name_b) in enumerate(
-            itertools.combinations(names, 2)
-        ):
-            np.testing.assert_array_equal(
-                matrix[row],
-                between_class_kl(stats[name_a], stats[name_b], symmetric=False),
-            )
-
 
 class TestDnvpSelectorParity:
     @pytest.fixture(scope="class")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dsp.cwt import get_cwt
 from repro.features.snr import snr_field, snr_report
 from repro.power import Acquisition
 
@@ -66,3 +67,9 @@ class TestSnrReport:
         trace_set = acq.capture_instruction_set(["ADC", "LDS"], 40, 2)
         report = snr_report(trace_set, use_cwt=True)
         assert report["field"].shape == (50, trace_set.n_samples)
+        # The streamed class statistics reproduce the full-plane field.
+        plane = get_cwt(trace_set.n_samples).transform(trace_set.traces)
+        np.testing.assert_allclose(
+            report["field"], snr_field(plane, trace_set.labels),
+            rtol=1e-9, atol=0,
+        )

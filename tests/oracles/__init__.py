@@ -17,6 +17,8 @@ Oracle                   Fast path it checks
 ``decode_one``           ``repro.isa.disasm.decode_one``
 ``render_events``        ``repro.power.model.PowerModel.render_events``
 ``within_class_kl``      ``repro.features.kl.within_class_kl``
+``wavelet_stats``        ``repro.features.kl.WaveletStats.stream`` (and
+                         ``from_images``, ``compute_class_stats``)
 ``dnvp_fit``             ``repro.features.selection.DnvpSelector.fit``
 ``ovo_fit``              ``repro.ml.ovo.OneVsOneClassifier.fit``
 ``ovo_vote_matrix``      ``repro.ml.ovo.OneVsOneClassifier.vote_matrix``
@@ -34,6 +36,7 @@ from .hierarchy import predict_instructions
 from .kl import dnvp_fit, within_class_kl
 from .ovo import ovo_fit, ovo_predict, ovo_vote_matrix
 from .render import render_events
+from .stats import wavelet_stats
 from .voting import voting_pair_points, voting_predict
 
 __all__ = [
@@ -47,5 +50,6 @@ __all__ = [
     "render_events",
     "voting_pair_points",
     "voting_predict",
+    "wavelet_stats",
     "within_class_kl",
 ]

@@ -4,24 +4,23 @@ import itertools
 
 import numpy as np
 
-from repro.features.kl import gaussian_kl, symmetric_gaussian_kl
+from repro.features.kl import symmetric_gaussian_kl
 from repro.features.selection import select_pair_points
 
 
-def within_class_kl(stats, symmetric: bool = True) -> np.ndarray:
+def within_class_kl(stats) -> np.ndarray:
     """Worst drift over every program pair, two ``gaussian_kl`` calls each.
 
     Reference for :func:`repro.features.kl.within_class_kl`, whose fused
-    symmetric kernel drops the logarithms (they cancel) and so agrees to
-    ~1e-15 absolute; the asymmetric path must match bit for bit.
+    kernel drops the logarithms (they cancel) and so agrees to ~1e-15
+    absolute.
     """
     if stats.n_programs < 2:
         return np.zeros_like(stats.mean)
-    fn = symmetric_gaussian_kl if symmetric else gaussian_kl
     worst = np.zeros_like(stats.mean)
     for i in range(stats.n_programs):
         for j in range(i + 1, stats.n_programs):
-            field = fn(
+            field = symmetric_gaussian_kl(
                 stats.program_means[i],
                 stats.program_vars[i],
                 stats.program_means[j],

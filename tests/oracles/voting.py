@@ -25,7 +25,6 @@ def voting_pair_points(voting, trace_set):
         trace_set.program_ids,
         names,
         get_cwt(trace_set.n_samples, cfg.cwt) if cfg.use_cwt else None,
-        cfg.block_size,
     )
     within = {name: within_class_kl(stats[name]) for name in names}
     return {

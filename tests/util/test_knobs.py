@@ -54,30 +54,21 @@ class TestDeclarations:
             "REPRO_CWT_MEM_MB",
             "REPRO_N_JOBS",
             "REPRO_PARALLEL_MIN_FILES",
-            "REPRO_KL_BLOCK_PAIRS",
-            "REPRO_FIT_CACHE_MB",
         }
         assert expected <= set(KNOBS)
 
 
 class TestGetters:
     def test_get_int_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KL_BLOCK_PAIRS", "64")
-        assert get_int("REPRO_KL_BLOCK_PAIRS") == 64
+        monkeypatch.setenv("REPRO_CAMPAIGN_SHARD_SIZE", "64")
+        assert get_int("REPRO_CAMPAIGN_SHARD_SIZE") == 64
 
     def test_get_int_clamps_to_declared_minimum(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KL_BLOCK_PAIRS", "-5")
-        with pytest.warns(RuntimeWarning, match="clamping REPRO_KL_BLOCK_PAIRS"):
-            assert get_int("REPRO_KL_BLOCK_PAIRS") == 1
-
-    def test_fit_cache_minimum_allows_zero(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FIT_CACHE_MB", "0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert get_int("REPRO_FIT_CACHE_MB") == 0
-        monkeypatch.setenv("REPRO_FIT_CACHE_MB", "-10")
-        with pytest.warns(RuntimeWarning):
-            assert get_int("REPRO_FIT_CACHE_MB") == 0
+        monkeypatch.setenv("REPRO_CAMPAIGN_SHARD_SIZE", "-5")
+        with pytest.warns(
+            RuntimeWarning, match="clamping REPRO_CAMPAIGN_SHARD_SIZE"
+        ):
+            assert get_int("REPRO_CAMPAIGN_SHARD_SIZE") == 1
 
     def test_n_jobs_keeps_all_cores_convention(self, monkeypatch):
         # <= 0 means "all cores" downstream, so the registry must NOT

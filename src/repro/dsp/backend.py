@@ -1,11 +1,10 @@
 """FFT backend selection for the signal-processing fast path.
 
 The CWT fast path is built on batched real-input FFTs.  SciPy's pocketfft
-(`scipy.fft`) is noticeably faster than `numpy.fft` on batched transforms
-and can split work across cores via its ``workers=`` argument; but the
-substrate must keep running on a bare-numpy installation.  This module
-hides that choice behind four functions (``rfft``/``irfft``/``fft``/
-``ifft``) that always accept a ``workers`` keyword.
+(`scipy.fft`) is noticeably faster than `numpy.fft` on batched transforms,
+but the substrate must keep running on a bare-numpy installation.  This
+module hides that choice behind four functions (``rfft``/``irfft``/
+``fft``/``ifft``) that always accept a ``workers`` keyword.
 
 Backend resolution order:
 
@@ -14,9 +13,11 @@ Backend resolution order:
 2. the ``REPRO_FFT_BACKEND`` environment variable (same values);
 3. auto-detect: ``scipy`` when importable, else ``numpy``.
 
-Worker-count resolution for ``workers=None`` follows
-``REPRO_FFT_WORKERS`` (default 1: deterministic, no oversubscription when
-the process pool is also active).
+``workers=None`` means one pocketfft thread.  Parallelism lives one
+level up: :meth:`repro.dsp.cwt.CWT.transform` runs whole trace chunks on
+threads, each chunk calling these functions single-threaded, so there is
+no second layer of FFT threads to oversubscribe the cores (and it keeps
+the chunks serial when BLAS runs threads of its own).
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..util.knobs import get_int, get_str
+from ..util.knobs import get_str
 
 __all__ = [
     "available_backends",
     "fft",
-    "fft_workers",
     "get_backend",
     "ifft",
     "irfft",
@@ -74,17 +74,10 @@ def get_backend() -> str:
     return "scipy" if _scipy_fft is not None else "numpy"
 
 
-def fft_workers() -> int:
-    """Worker count used when a transform is called with ``workers=None``."""
-    return get_int("REPRO_FFT_WORKERS")
-
-
 def _dispatch(scipy_fn: Callable, numpy_fn: Callable):
     def wrapper(a, n=None, axis=-1, workers=None):
         if get_backend() == "scipy":
-            if workers is None:
-                workers = fft_workers()
-            return scipy_fn(a, n=n, axis=axis, workers=workers)
+            return scipy_fn(a, n=n, axis=axis, workers=workers or 1)
         return numpy_fn(a, n=n, axis=axis)
 
     return wrapper

@@ -43,10 +43,17 @@ every scale through the cheapest of three kernels:
 All inverse FFTs use the analytic/rfft half-spectrum trick (the response
 is zero for non-positive frequencies): ``Re W = irfft(R·X/2)`` and
 ``Im W = irfft(-i·R·X/2)``, stacked into one batched call.  FFTs go
-through :mod:`repro.dsp.backend` (SciPy pocketfft with ``workers=``
-when available, ``numpy.fft`` otherwise).  Arithmetic runs in single
-precision by default (``CwtConfig.precision``); against the float64
-reference this is within ~1e-6 of the float32 output rounding.
+through :mod:`repro.dsp.backend` (SciPy pocketfft when available,
+``numpy.fft`` otherwise), always single-threaded.  Arithmetic runs in
+single precision by default (``CwtConfig.precision``); against the
+float64 reference this is within ~1e-6 of the float32 output rounding.
+
+:meth:`CWT.transform` cuts a batch into cache-sized chunks of traces and
+runs the chunks on threads (usable cores; 1 inside a process-pool
+worker or when BLAS runs threads of its own).  A chunk's forward FFT,
+FFT stages and GEMM stages touch only its own rows, so the output is
+bit-identical for any thread count; the threads are joined before the
+call returns.
 
 Because operators precompute response matrices and GEMM bases,
 module-level :func:`get_cwt` caches them keyed on ``(n_samples,
@@ -64,6 +71,7 @@ import numpy as np
 from . import backend
 from ..obs import trace as _obs
 from ..util.knobs import get_float
+from ..util.parallel import run_threads, thread_workers
 
 __all__ = [
     "CWT",
@@ -221,20 +229,20 @@ class CWT:
         response = self._fft_response(n_fft, indices)
         return _FftStage(n_fft, indices, response.astype(self._real_dtype))
 
-    def _gemm_basis(self, j: int, k_lo: int, k_hi: int) -> np.ndarray:
-        """Float64 narrowband inverse basis for one scale's bin range."""
+    def _gemm_response(self, j: int, k_lo: int, k_hi: int) -> np.ndarray:
+        """Float64 narrowband response of one scale's bin range, scaled."""
         scale = float(self.config.scales[j])
-        k = np.arange(k_lo, k_hi)
-        omega = 2.0 * np.pi * k / self.n_fft
+        omega = 2.0 * np.pi * np.arange(k_lo, k_hi) / self.n_fft
         response = np.exp(-0.5 * (scale * omega - self.config.omega0) ** 2)
-        response *= np.sqrt(scale) / self.n_fft
-        m = np.arange(self.n_samples)
-        return response[:, None] * np.exp(
-            (2j * np.pi / self.n_fft) * k[:, None] * m[None, :]
-        )
+        return response * (np.sqrt(scale) / self.n_fft)
 
     def _make_gemm(self, j: int, k_lo: int, k_hi: int) -> _GemmStage:
-        basis = self._gemm_basis(j, k_lo, k_hi)
+        # Narrowband inverse basis: response[k] * e^{2πi k m / n_fft}.
+        k = np.arange(k_lo, k_hi)
+        m = np.arange(self.n_samples)
+        basis = self._gemm_response(j, k_lo, k_hi)[:, None] * np.exp(
+            (2j * np.pi / self.n_fft) * k[:, None] * m[None, :]
+        )
         return _GemmStage(j, k_lo, k_hi, basis.astype(self._cplx_dtype))
 
     def __reduce__(self):
@@ -255,8 +263,8 @@ class CWT:
         return self.config.omega0 / (2.0 * np.pi * self.config.scales)
 
     # -- chunk sizing --------------------------------------------------------
-    def _chunk_traces(self, max_mem_mb: Optional[float]) -> int:
-        """Traces per chunk under the peak-memory budget."""
+    def _schedule(self, max_mem_mb: Optional[float]) -> Tuple[int, int]:
+        """``(traces per chunk, chunks in flight)`` under the memory budget."""
         if max_mem_mb is None:
             max_mem_mb = get_float("REPRO_CWT_MEM_MB")
         itemsize = np.dtype(self._real_dtype).itemsize
@@ -269,25 +277,24 @@ class CWT:
             ),
             default=0,
         )
-        per_trace = stage_bytes + 4 * self.config.n_scales * self.n_samples
+        per_trace = max(
+            1, stage_bytes + 4 * self.config.n_scales * self.n_samples
+        )
         budget = max(1.0, max_mem_mb) * (1 << 20)
-        ceiling = max(1, int(budget / max(per_trace, 1)))
+        ceiling = max(1, int(budget / per_trace))
         # Independently of the budget, keep the stage working set near
-        # cache size — chunking never changes results, only locality.
+        # cache size — chunking changes locality, not the model.
         sweet_spot = max(8, int(_CACHE_TARGET_BYTES / max(stage_bytes, 1)))
-        return max(1, min(ceiling, sweet_spot))
+        chunk = max(1, min(ceiling, sweet_spot))
+        return chunk, max(1, int(budget / (chunk * per_trace)))
 
     # -- kernels -------------------------------------------------------------
-    def _forward(self, batch: np.ndarray, workers=None) -> np.ndarray:
+    def _forward(self, batch: np.ndarray) -> np.ndarray:
         """Full-grid half spectrum of a (n, n_samples) batch."""
-        return backend.rfft(batch, n=self.n_fft, axis=-1, workers=workers)
+        return backend.rfft(batch, n=self.n_fft, axis=-1)
 
     def _run_fft_stage(
-        self,
-        stage: _FftStage,
-        full_spectrum: np.ndarray,
-        out: np.ndarray,
-        workers=None,
+        self, stage: _FftStage, full_spectrum: np.ndarray, out: np.ndarray
     ) -> None:
         """Inverse-transform one scale batch into ``out[:, indices, :]``."""
         step = self.n_fft // stage.n_fft
@@ -307,17 +314,13 @@ class CWT:
             np.multiply(
                 product[:, :g], self._cplx_dtype(-1j), out=product[:, g:]
             )
-            coeff = backend.irfft(
-                product, n=stage.n_fft, axis=-1, workers=workers
-            )
+            coeff = backend.irfft(product, n=stage.n_fft, axis=-1)
             re = coeff[:, :g, : self.n_samples]
             im = coeff[:, g:, : self.n_samples]
             out[:, stage.indices, :] = np.sqrt(re * re + im * im)
         else:
             product = spectrum[:, None, :] * stage.response[None, :, :]
-            coeff = backend.irfft(
-                product, n=stage.n_fft, axis=-1, workers=workers
-            )
+            coeff = backend.irfft(product, n=stage.n_fft, axis=-1)
             out[:, stage.indices, :] = coeff[:, :, : self.n_samples]
 
     def _run_gemm_stage(
@@ -334,17 +337,27 @@ class CWT:
         self,
         traces: np.ndarray,
         max_mem_mb: Optional[float] = None,
-        workers: Optional[int] = None,
     ) -> np.ndarray:
         """Transform traces to time-frequency magnitude images.
 
+        The traces are cut into cache-sized chunks, and the chunks run
+        on threads: one per usable core, capped at the number of chunks
+        and at the chunks the budget holds at once.  They run serially
+        inside a process-pool worker, and also when BLAS runs threads of
+        its own: the GEMM stages call BLAS, and two layers of threads
+        would oversubscribe the cores.  Each chunk's forward FFT, FFT
+        stages and GEMM stages write only its own rows of the output, so
+        the result is bit-identical for any thread count.  The threads
+        are joined before this returns.
+
         Args:
             traces: ``(n, n_samples)`` or ``(n_samples,)`` array.
-            max_mem_mb: peak-memory budget for intermediate buffers;
-                defaults to ``REPRO_CWT_MEM_MB`` (256 MiB).  Only chunking
-                changes — results are identical for any budget.
-            workers: FFT worker threads (SciPy backend only); defaults to
-                ``REPRO_FFT_WORKERS``.
+            max_mem_mb: peak-memory budget for intermediate buffers of
+                all chunks in flight; defaults to ``REPRO_CWT_MEM_MB``
+                (256 MiB).  Only chunking changes: the GEMM stages' float32
+                BLAS rounding follows a chunk's row count, so results agree
+                to ~1e-7 across budgets (and bit for bit across thread
+                counts at one budget).
 
         Returns:
             ``(n, n_scales, n_samples)`` float32 array (or 2-D for a
@@ -360,21 +373,26 @@ class CWT:
         out = np.empty(
             (n, self.config.n_scales, self.n_samples), dtype=np.float32
         )
-        chunk = self._chunk_traces(max_mem_mb)
-        with _obs.span("cwt.batch", n=n, n_scales=self.config.n_scales):
-            for start in range(0, n, chunk):
-                stop = min(start + chunk, n)
-                spectrum = self._forward(batch[start:stop], workers=workers)
-                view = out[start:stop]
-                for stage in self._fft_stages:
-                    self._run_fft_stage(stage, spectrum, view, workers=workers)
-                for stage in self._gemm_stages:
-                    self._run_gemm_stage(stage, spectrum, view)
+        chunk, in_flight = self._schedule(max_mem_mb)
+        starts = range(0, n, chunk)
+        workers = min(thread_workers(len(starts), calls_blas=True), in_flight)
+
+        def run_chunk(start: int) -> None:
+            rows = slice(start, start + chunk)
+            spectrum = self._forward(batch[rows])
+            view = out[rows]
+            for stage in self._fft_stages:
+                self._run_fft_stage(stage, spectrum, view)
+            for stage in self._gemm_stages:
+                self._run_gemm_stage(stage, spectrum, view)
+
+        with _obs.span(
+            "cwt.batch", n=n, n_scales=self.config.n_scales, workers=workers
+        ):
+            run_threads(run_chunk, starts, workers)
         return out[0] if single else out
 
-    def transform_points(
-        self, traces: np.ndarray, points, workers: Optional[int] = None
-    ) -> np.ndarray:
+    def transform_points(self, traces: np.ndarray, points) -> np.ndarray:
         """Evaluate the CWT only at selected (scale, time) points.
 
         The staged evaluation: the forward FFT runs once on the shared
@@ -406,7 +424,7 @@ class CWT:
             columns_by_scale: dict = {}
             for column, (j, k) in enumerate(points):
                 columns_by_scale.setdefault(int(j), []).append((column, int(k)))
-            spectrum = self._forward(batch, workers=workers)
+            spectrum = self._forward(batch)
             gemm_by_index = {s.index: s for s in self._gemm_stages}
             for stage in self._fft_stages:
                 wanted = [
@@ -426,7 +444,7 @@ class CWT:
                 values = np.empty(
                     (n, len(wanted), self.n_samples), dtype=self._real_dtype
                 )
-                self._run_fft_stage(sub, spectrum, values, workers=workers)
+                self._run_fft_stage(sub, spectrum, values)
                 for row, (_, j) in enumerate(wanted):
                     for column, k in columns_by_scale[j]:
                         out[:, column] = values[:, row, k]
@@ -459,13 +477,17 @@ class CWT:
         precomputed matrix (see :mod:`repro.features.compiled`).
 
         The columns are derived analytically, in float64, from the same
-        stage plan the staged kernels execute:
-
-        * FFT-stage scale on grid ``n``: ``W[k] = (2/n) Σ_b R[b] X̂[b]
-          e^{2πi b k / n}`` with ``X̂`` the decimated forward spectrum,
-          itself linear in the trace (``X̂[b] = Σ_m x[m] e^{-2πi b m/n}``);
-        * GEMM-stage scale: the forward bin restriction composed with the
-          narrowband inverse basis.
+        stage plan the staged kernels execute.  On its grid ``n`` every
+        scale is a weighted sum of roots of unity: the forward factor
+        ``e^{-2πi b m/n}`` of the trace's spectrum times the inverse
+        factor ``e^{2πi b k/n}`` of output time ``k``.  So column
+        ``(j, k)`` at trace sample ``m`` depends on the lag ``k - m``
+        only: ``K[m] = h_j[(k - m) mod n]`` with the lag kernel
+        ``h_j[d] = Σ_b w_j[b] e^{2πi b d/n}``.  The weights ``w_j`` are
+        ``(2/n) R_j`` on an FFT stage's decimated half spectrum, or the
+        narrowband response on a GEMM stage's bin range.  Each lag kernel
+        is one inverse FFT of its weights; no twiddle is evaluated per
+        point.
 
         Args:
             points: iterable of ``(scale_index, time_index)`` pairs.
@@ -483,40 +505,34 @@ class CWT:
         columns_by_scale: dict = {}
         for column, (j, k) in enumerate(points):
             columns_by_scale.setdefault(j, []).append((column, k))
-        m = np.arange(self.n_samples)
-        gemm_by_index = {s.index: s for s in self._gemm_stages}
+        spectra_by_grid: dict = {}
+
+        def add(n_fft: int, j: int, k_lo: int, weights: np.ndarray) -> None:
+            spectrum = np.zeros(n_fft, dtype=np.complex128)
+            spectrum[k_lo:k_lo + len(weights)] = weights
+            spectra_by_grid.setdefault(n_fft, []).append((j, spectrum))
+
         for stage in self._fft_stages:
             wanted = [
-                (pos, int(j))
-                for pos, j in enumerate(stage.indices)
-                if int(j) in columns_by_scale
+                int(j) for j in stage.indices if int(j) in columns_by_scale
             ]
-            if not wanted:
-                continue
-            n_fft = stage.n_fft
-            bins = np.arange(n_fft // 2 + 1)
-            response = self._fft_response(
-                n_fft, np.array([j for _, j in wanted])
-            )
-            # Trace -> decimated-spectrum factor e^{-2πi b m / n}.
-            forward = np.exp((-2j * np.pi / n_fft) * np.outer(m, bins))
-            for row, (_, j) in enumerate(wanted):
+            if wanted:
+                response = self._fft_response(stage.n_fft, np.array(wanted))
+                for j, row in zip(wanted, response):
+                    add(stage.n_fft, j, 0, (2.0 / stage.n_fft) * row)
+        for stage in self._gemm_stages:
+            if stage.index in columns_by_scale:
+                add(
+                    self.n_fft, stage.index, stage.k_lo,
+                    self._gemm_response(stage.index, stage.k_lo, stage.k_hi),
+                )
+        m = np.arange(self.n_samples)
+        for n_fft, entries in spectra_by_grid.items():
+            spectra = np.stack([spectrum for _, spectrum in entries])
+            kernels = backend.ifft(spectra, axis=-1) * n_fft
+            for (j, _), kernel in zip(entries, kernels):
                 for column, k in columns_by_scale[j]:
-                    weights = (
-                        (2.0 / n_fft)
-                        * response[row]
-                        * np.exp((2j * np.pi / n_fft) * bins * k)
-                    )
-                    operator[:, column] = forward @ weights
-        for j, wanted in columns_by_scale.items():
-            stage = gemm_by_index.get(j)
-            if stage is None:
-                continue
-            basis = self._gemm_basis(j, stage.k_lo, stage.k_hi)
-            bins = np.arange(stage.k_lo, stage.k_hi)
-            forward = np.exp((-2j * np.pi / self.n_fft) * np.outer(m, bins))
-            for column, k in wanted:
-                operator[:, column] = forward @ basis[:, k]
+                    operator[:, column] = kernel[(k - m) % n_fft]
         return operator
 
     def flatten(self, images: np.ndarray) -> np.ndarray:

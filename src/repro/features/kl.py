@@ -31,15 +31,21 @@ absolute, far inside the 1e-9 parity budget (the per-pair loops are the
 The per-point Gaussians themselves are streamed: :class:`WaveletStats`
 is built from a float64 count, mean and M2 per program file, merged
 block by block with Chan et al.'s parallel update, so no caller ever
-holds a class's full time-frequency plane.
+holds a class's full time-frequency plane.  Each block's mean/M2
+reduction runs on threads, one column tile of the plane at a time; the
+reduction is along the row axis, so every column sees the same
+operations for any thread count, and the Chan merges stay in order on
+the calling thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..util.parallel import run_threads, thread_workers
 
 __all__ = [
     "StackedClassStats",
@@ -59,6 +65,15 @@ _VAR_FLOOR = 1e-12
 #: memory setting.  256 rows of the paper's 50×315 plane are 16 MiB of
 #: float32 images per block.
 STATS_BLOCK_ROWS = 256
+
+#: Run elements per moment-reduction task (:func:`_block_moments`): each
+#: run's plane columns are cut into ``ceil(run.size / _TILE_ELEMENTS)``
+#: equal tiles, so a task's float64 copy stays near 2 MiB.  The tiling
+#: depends on the run's shape only, never on the thread count, and a tile
+#: of a run of at most ``STATS_BLOCK_ROWS`` rows keeps 512+ columns: wide
+#: column slices reduce row by row exactly like the whole plane (a
+#: one-column slice would switch NumPy to pairwise summation).
+_TILE_ELEMENTS = 1 << 18
 
 
 def gaussian_kl(
@@ -127,6 +142,7 @@ class WaveletStats:
         cls,
         program_ids: np.ndarray,
         images_of: Callable[[np.ndarray], np.ndarray],
+        on_workers: Optional[Callable[[int], None]] = None,
     ) -> "WaveletStats":
         """Statistics of images produced one block of rows at a time.
 
@@ -135,7 +151,8 @@ class WaveletStats:
         Each program's float64 count, mean and M2 absorb the block with
         Chan et al.'s parallel update, and the pooled moments follow from
         the per-program ones by the law of total variance — so at most
-        one block of images is ever held.
+        one block of images is ever held.  ``on_workers``, if given, is
+        called with the threads each block's moment reduction ran on.
         """
         program_ids = np.asarray(program_ids)
         order = np.argsort(program_ids, kind="stable")
@@ -145,8 +162,12 @@ class WaveletStats:
             block = images_of(rows)
             ids = program_ids[rows]
             cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(ids)]):
-                _merge_moments(moments, ids[lo], block[lo:hi])
+            bounds = list(zip(np.r_[0, cuts], np.r_[cuts, len(ids)]))
+            runs, workers = _block_moments(block, bounds)
+            if on_workers is not None:
+                on_workers(workers)
+            for (lo, hi), (mean, m2) in zip(bounds, runs):
+                _merge_moments(moments, ids[lo], int(hi - lo), mean, m2)
         counts = np.array([n for n, _, _ in moments.values()])
         p_means = np.stack([mean for _, mean, _ in moments.values()])
         p_vars = np.stack([m2 / n for n, _, m2 in moments.values()])
@@ -169,22 +190,59 @@ class WaveletStats:
         return len(self.program_ids)
 
 
+def _block_moments(
+    block: np.ndarray, bounds: Sequence[Tuple[int, int]]
+) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], int]:
+    """Float64 mean and M2 along the rows of each run ``block[lo:hi]``.
+
+    Every run is cut into column tiles, and the tiles of all runs run on
+    threads.  A tile applies to each of its elements the operations a
+    whole-run reduction applies, and tiles write disjoint columns, so
+    the moments are the same bits for any thread count (and the same as
+    the untiled reduction's).  Returns the per-run moments and the
+    thread count.
+    """
+    flat = block.reshape(len(block), -1)
+    width = flat.shape[1]
+    sums = [(np.empty(width), np.empty(width)) for _ in bounds]
+    tiles = []
+    for run, (lo, hi) in enumerate(bounds):
+        n_tiles = -(-(hi - lo) * width // _TILE_ELEMENTS)
+        edges = np.linspace(0, width, n_tiles + 1).astype(int)
+        tiles += [(run, a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+    def reduce_tile(tile: Tuple[int, int, int]) -> None:
+        run, a, b = tile
+        lo, hi = bounds[run]
+        mean, m2 = sums[run]
+        # One float64 copy serves both passes; the row-order sums are
+        # those of ``mean``/``var`` with ``dtype=float64``.
+        dev = flat[lo:hi, a:b].astype(np.float64)
+        dev.mean(axis=0, dtype=np.float64, out=mean[a:b])
+        np.subtract(dev, mean[a:b], out=dev)
+        np.multiply(dev, dev, out=dev)
+        dev.sum(axis=0, dtype=np.float64, out=m2[a:b])
+
+    workers = thread_workers(len(tiles))
+    run_threads(reduce_tile, tiles, workers)
+    plane = block.shape[1:]
+    runs = [(mean.reshape(plane), m2.reshape(plane)) for mean, m2 in sums]
+    return runs, workers
+
+
 def _merge_moments(
     moments: Dict[object, Tuple[int, np.ndarray, np.ndarray]],
     program: object,
-    run: np.ndarray,
+    count: int,
+    mean: np.ndarray,
+    m2: np.ndarray,
 ) -> None:
-    """Fold one run of a program's images into its ``(count, mean, M2)``.
+    """Fold one run's ``(count, mean, M2)`` into its program's moments.
 
     A program's first run sets its moments directly (bit-identical to
     NumPy's ``mean``/``var`` over the run); later runs merge by Chan et
     al.'s pairwise update.
     """
-    count = len(run)
-    mean = run.mean(axis=0, dtype=np.float64)
-    m2 = np.subtract(run, mean, dtype=np.float64)
-    np.multiply(m2, m2, out=m2)
-    m2 = m2.sum(axis=0, dtype=np.float64)
     if program not in moments:
         moments[program] = (count, mean, m2)
         return

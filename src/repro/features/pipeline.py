@@ -39,7 +39,11 @@ def compute_class_stats(
 
     Each class is transformed and reduced one block of rows at a time
     (:meth:`WaveletStats.stream`), so only one block's images are ever
-    held; ``REPRO_CWT_MEM_MB`` bounds the transform inside a block.
+    held; ``REPRO_CWT_MEM_MB`` bounds the transform inside a block.  The
+    transform's chunks and the moment reduction's column tiles run on
+    the usable cores; the statistics are bit-identical for any count.
+    The ``kl.stats`` span records the most threads a moment reduction
+    ran on (each ``cwt.batch`` span records its transform's).
     """
     traces = np.asarray(traces)  # replint: disable=REP009 -- row gather only; both sinks re-pin (cwt.transform casts to its real dtype, the pseudo-image branch pins float32)
     labels = np.asarray(labels)
@@ -51,14 +55,18 @@ def compute_class_stats(
         return np.asarray(traces[rows], dtype=np.float32)[:, None, :]
 
     stats: Dict[str, WaveletStats] = {}
-    with _obs.span("kl.stats", n_classes=len(label_names)):
+    workers = [1]
+    with _obs.span("kl.stats", n_classes=len(label_names)) as span:
         for code, name in enumerate(label_names):
             rows = np.flatnonzero(labels == code)
             if len(rows) == 0:
                 raise ValueError(f"class {name!r} has no traces")
             stats[name] = WaveletStats.stream(
-                program_ids[rows], lambda block: images_of(rows[block])
+                program_ids[rows],
+                lambda block: images_of(rows[block]),
+                on_workers=workers.append,
             )
+        span.annotate(workers=max(workers))
     return stats
 
 

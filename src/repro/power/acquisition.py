@@ -454,12 +454,11 @@ class Acquisition:
     ) -> np.ndarray:
         spc = self.geometry.samples_per_cycle
         length = self.geometry.window_samples
-        out = np.empty((len(target_indices), length), dtype=np.float32)
-        for row, index in enumerate(target_indices):
-            start = index * spc + self.scope.trigger_offset(rng)
-            start = max(0, min(start, len(trace) - length))
-            out[row] = trace[start:start + length]
-        return out
+        starts = np.asarray(target_indices, dtype=np.int64) * spc
+        starts += self.scope.trigger_offsets(rng, len(starts))
+        np.clip(starts, 0, len(trace) - length, out=starts)
+        windows = np.lib.stride_tricks.sliding_window_view(trace, length)
+        return windows[starts].astype(np.float32, copy=False)
 
     def reference_window(self) -> np.ndarray:
         """Averaged ``SBI, 5×NOP, CBI`` reference window (cached)."""

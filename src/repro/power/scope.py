@@ -71,8 +71,15 @@ class Oscilloscope:
         trace = np.round((trace - low) / step) * step + low
         return trace.astype(np.float32)
 
-    def trigger_offset(self, rng: np.random.Generator) -> int:
-        """Integer sample jitter of one trigger event."""
+    def trigger_offsets(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Integer sample jitter of ``n`` trigger events, in one draw.
+
+        One ``normal(size=n)`` draw yields the same values, and leaves
+        ``rng`` in the same state, as ``n`` scalar draws; ``rint`` rounds
+        half to even like Python's ``round``.  Without jitter no number
+        is drawn.
+        """
         if self.trigger_jitter_std <= 0.0:
-            return 0
-        return int(round(rng.normal(0.0, self.trigger_jitter_std)))
+            return np.zeros(n, dtype=np.int64)
+        jitter = rng.normal(0.0, self.trigger_jitter_std, n)
+        return np.rint(jitter).astype(np.int64)

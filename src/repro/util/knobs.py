@@ -129,13 +129,6 @@ KNOBS: Dict[str, Knob] = _declare(
         doc="FFT implementation; pure-numpy fallback",
     ),
     Knob(
-        name="REPRO_FFT_WORKERS",
-        kind="int",
-        default=1,
-        minimum=1,
-        doc="pocketfft worker threads per transform",
-    ),
-    Knob(
         name="REPRO_CWT_MEM_MB",
         kind="float",
         default=256.0,

@@ -26,10 +26,22 @@ Worker-count resolution (:func:`resolve_n_jobs`):
 3. default 1 (serial — no surprise process pools).
 
 ``n_jobs <= 0`` means "all cores".
+
+The fit leaves (CWT chunks, class-statistics column tiles) fan out on
+*threads* instead: :func:`run_threads` runs independent tasks that each
+write a disjoint slice of a preallocated output, so the result is
+bit-identical for any thread count.  Threads live for one call only and
+are joined before it returns, so a process that forks later (a capture
+pool, a campaign shard) is single-threaded when it forks; inside a pool
+worker :func:`usable_cores` is 1, so pools are never oversubscribed.
+Tasks that call BLAS thread only when :func:`blas_threads` is 1, so
+BLAS's own threads never run under ours.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
@@ -50,12 +62,16 @@ from .knobs import get_float, get_int
 
 __all__ = [
     "ItemFailure",
+    "blas_threads",
     "effective_workers",
     "last_map_failures",
     "parallel_map",
     "resolve_n_jobs",
     "resolve_task_retries",
     "resolve_task_timeout",
+    "run_threads",
+    "thread_workers",
+    "usable_cores",
 ]
 
 _T = TypeVar("_T")
@@ -409,3 +425,86 @@ def _observed_pooled_map(
             min(1.0, busy_ms / (n_jobs * region_ms))
         )
     return results
+
+
+def usable_cores() -> int:
+    """Cores this process may run on; 1 inside a process-pool worker."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - hosts without affinity
+        return os.cpu_count() or 1
+
+
+#: ``get_num_threads`` entry points of the BLAS builds NumPy links:
+#: scipy-openblas wheels, older OpenBLAS wheels, plain OpenBLAS, MKL.
+_BLAS_THREAD_PROBES = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+    "MKL_Get_Max_Threads",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_probe() -> Optional[Callable[[], int]]:
+    """NumPy's BLAS thread-count getter, or ``None`` if none is found."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        # dlsym on this handle also searches the libraries it links.
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:  # pragma: no cover - static or exotic builds
+        return None
+    for name in _BLAS_THREAD_PROBES:
+        probe = getattr(lib, name, None)
+        if probe is not None:
+            return probe
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """Threads NumPy's BLAS runs one call on; ``None`` if unknown."""
+    probe = _blas_thread_probe()
+    return None if probe is None else int(probe())
+
+
+def thread_workers(n_tasks: int, calls_blas: bool = False) -> int:
+    """Threads for ``n_tasks`` independent tasks: usable cores, capped.
+
+    Tasks that call BLAS run serially unless BLAS is known to run on
+    one thread: a multi-threaded BLAS under our threads oversubscribes
+    the cores, and its idle threads spin-wait between calls.
+    """
+    workers = max(1, min(usable_cores(), n_tasks))
+    if workers > 1 and calls_blas and blas_threads() != 1:
+        return 1
+    return workers
+
+
+def run_threads(
+    task: Callable[[_T], None], items: Sequence[_T], workers: int
+) -> None:
+    """Call ``task(item)`` for every item on up to ``workers`` threads.
+
+    One worker runs the items inline, in order.  Otherwise the threads
+    live for this call only: they are joined before it returns, and the
+    first failing item's exception is re-raised.  ``task`` must only
+    write its own item's slice of shared output — then the result
+    cannot depend on the schedule.
+    """
+    if workers <= 1 or len(items) <= 1:
+        for item in items:
+            task(item)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(workers, len(items))) as pool:
+        for future in [pool.submit(task, item) for item in items]:
+            future.result()

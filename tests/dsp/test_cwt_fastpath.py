@@ -12,7 +12,7 @@ import pytest
 
 from repro.dsp import backend
 from repro.dsp.cwt import CWT, CwtConfig, clear_cwt_cache, cwt_magnitude, get_cwt
-from tests.oracles import cwt_transform
+from tests.oracles import cwt_transform, point_operator
 
 ATOL = 1e-5
 
@@ -147,6 +147,20 @@ class TestPointOperator:
         folded = np.abs(traces @ operator.point_operator(self.POINTS))
         staged = operator.transform_points(traces, self.POINTS)
         np.testing.assert_allclose(folded, staged, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("magnitude", [True, False])
+    def test_lag_kernels_match_per_point_twiddles(self, magnitude):
+        """Every scale, both stage kinds: ≤1e-12 of the exp-per-point fold."""
+        operator = CWT(315, CwtConfig(magnitude=magnitude))
+        rng = np.random.default_rng(23)
+        points = [(j, int(k)) for j in range(50) for k in rng.integers(0, 315, 3)]
+        fast = operator.point_operator(points)
+        reference = point_operator(operator, points)
+        assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(
+            reference
+        )
+        scale = np.abs(reference).max(axis=0)
+        assert (np.abs(fast - reference).max(axis=0) <= 1e-12 * scale).all()
 
     def test_real_part_matches_raw_coefficients(self):
         operator = CWT(315, CwtConfig(magnitude=False, precision="double"))

@@ -14,6 +14,7 @@ mirroring the method it checks, so it can also be swapped in with ``monkeypatch`
 Oracle                   Fast path it checks
 =======================  ==================================================
 ``cwt_transform``        ``repro.dsp.cwt.CWT.transform``
+``point_operator``       ``repro.dsp.cwt.CWT.point_operator``
 ``decode_one``           ``repro.isa.disasm.decode_one``
 ``render_events``        ``repro.power.model.PowerModel.render_events``
 ``within_class_kl``      ``repro.features.kl.within_class_kl``
@@ -30,7 +31,7 @@ Oracle                   Fast path it checks
 =======================  ==================================================
 """
 
-from .cwt import cwt_transform
+from .cwt import cwt_transform, point_operator
 from .decode import decode_one
 from .hierarchy import predict_instructions
 from .kl import dnvp_fit, within_class_kl
@@ -46,6 +47,7 @@ __all__ = [
     "ovo_fit",
     "ovo_predict",
     "ovo_vote_matrix",
+    "point_operator",
     "predict_instructions",
     "render_events",
     "voting_pair_points",

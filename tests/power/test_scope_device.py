@@ -46,13 +46,23 @@ class TestScope:
     def test_trigger_offset_statistics(self):
         scope = Oscilloscope(trigger_jitter_std=1.0)
         rng = np.random.default_rng(0)
-        offsets = [scope.trigger_offset(rng) for _ in range(500)]
+        offsets = scope.trigger_offsets(rng, 500)
+        assert offsets.dtype == np.int64
         assert abs(np.mean(offsets)) < 0.3
         assert 0.5 < np.std(offsets) < 1.5
+        # One array draw == per-event scalar draws, rounded alike, and
+        # the generator ends in the same state.
+        scalar = np.random.default_rng(3)
+        expected = [int(round(scalar.normal(0.0, 1.0))) for _ in range(64)]
+        batch = np.random.default_rng(3)
+        assert scope.trigger_offsets(batch, 64).tolist() == expected
+        assert batch.random() == scalar.random()
 
     def test_zero_jitter(self):
         scope = Oscilloscope(trigger_jitter_std=0.0)
-        assert scope.trigger_offset(np.random.default_rng(0)) == 0
+        rng = np.random.default_rng(0)
+        assert scope.trigger_offsets(rng, 3).tolist() == [0, 0, 0]
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestScopeEdgeCases:

@@ -50,7 +50,6 @@ class TestDeclarations:
     def test_pr12_knob_surface_is_declared(self):
         expected = {
             "REPRO_FFT_BACKEND",
-            "REPRO_FFT_WORKERS",
             "REPRO_CWT_MEM_MB",
             "REPRO_N_JOBS",
             "REPRO_PARALLEL_MIN_FILES",
@@ -102,7 +101,7 @@ class TestGetters:
         with pytest.raises(TypeError, match="flag"):
             get_int("REPRO_FAULT_SCREEN")
         with pytest.raises(TypeError, match="int"):
-            get_flag("REPRO_FFT_WORKERS")
+            get_flag("REPRO_PARALLEL_MIN_FILES")
 
 
 class TestKnobTable:

@@ -45,7 +45,7 @@ class GroupSampler:
         self.pool = tuple(pool)
 
     def __call__(self, rng: np.random.Generator, word_address: int):
-        key = str(rng.choice(list(self.pool)))
+        key = self.pool[rng.integers(len(self.pool))]
         return random_instance(key, rng, word_address=word_address)
 
 

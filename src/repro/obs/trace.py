@@ -31,7 +31,7 @@ the item's result and merge into the parent collector, re-rooted under
 the parent's currently-open span path.  See :func:`Collector.merge`.
 
 Span naming convention (enforced socially, documented in DESIGN.md §12):
-lowercase dotted ``area.operation`` — ``capture.class``, ``screen.cycle``,
+lowercase dotted ``area.operation`` — ``capture.set``, ``screen.cycle``,
 ``cwt.batch``, ``kl.select``, ``pca.fit``, ``train.level``,
 ``infer.instructions``, ``stage.<checkpoint-stage>``,
 ``experiment.<runner>``.

@@ -28,20 +28,7 @@ from ..obs import trace as _obs
 from ..sim.cpu import AvrCpu
 from ..sim.state import SRAM_START
 from ..util.knobs import get_flag, get_int
-from ..util.parallel import parallel_map
-
-#: Minimum program files per worker before capture goes parallel.  One
-#: file costs ~10 ms to capture while a worker process costs tens of ms
-#: to spawn and feed, so small captures are *slower* on the pool — the
-#: PR-1 throughput bench measured a 4-file/2-worker capture at ~2.3×
-#: the serial time.  Below ``REPRO_PARALLEL_MIN_FILES`` files per worker
-#: (default 4) the pool shrinks, down to the serial path; results are
-#: identical either way.
-_DEFAULT_MIN_FILES_PER_WORKER = 4
-
-
-def _min_files_per_worker() -> int:
-    return get_int("REPRO_PARALLEL_MIN_FILES")
+from ..util.parallel import effective_workers, parallel_map, resolve_n_jobs
 from .config import DEFAULT_GEOMETRY, PowerModelConfig, TraceGeometry
 from .dataset import TraceSet
 from .device import DeviceProfile, ProgramShift, SessionShift
@@ -72,6 +59,8 @@ _SKIP_KEYS = frozenset({"CPSE", "SBRC", "SBRS", "SBIC", "SBIS"})
 
 # I/O addresses that IN/OUT/SBI/CBI randomization must avoid (SPL/SPH/SREG).
 _RESERVED_IO = frozenset({0x3D, 0x3E, 0x3F})
+_IO6_CHOICES = tuple(a for a in range(64) if a not in _RESERVED_IO)
+_REG_PAIR_HIGH = (24, 26, 28, 30)
 
 #: Default instruction pools for register profiling (§5.3: "the
 #: instruction opcode and the other register are randomly selected").
@@ -87,6 +76,17 @@ DEFAULT_RD_POOL = (
 DEFAULT_RR_POOL = (
     "ADD", "ADC", "SUB", "SBC", "AND", "OR", "EOR", "CP", "CPC", "MOV",
 )
+
+
+def _min_files_per_worker() -> int:
+    """Minimum program files per worker before capture goes parallel.
+
+    One file costs ~10 ms to capture while a worker process costs tens
+    of ms to start, so tiny captures are *slower* on the pool.  Below
+    ``REPRO_PARALLEL_MIN_FILES`` files per worker (default 4) the pool
+    shrinks, down to the serial path; results are identical either way.
+    """
+    return get_int("REPRO_PARALLEL_MIN_FILES")
 
 
 def _register_compatible(key: str, operand_index: int, reg: int) -> bool:
@@ -113,7 +113,9 @@ def random_instance(
     Operand randomization follows the paper: register operands uniform over
     their file, immediates uniform, while control-flow offsets are pinned so
     the instruction stream stays linear (branches use offset 0; absolute
-    jumps target the next address).
+    jumps target the next address).  Draws from a list index it with
+    ``rng.integers(len(pool))``: the same value and generator state as
+    ``rng.choice(pool)``, without converting the list to an array.
 
     Args:
         class_key: instruction class (e.g. ``"ADC"``).
@@ -136,18 +138,18 @@ def random_instance(
         kind = operand.kind
         if kind is OperandKind.REG:
             choices = [r for r in range(32) if r not in used_regs]
-            value = int(rng.choice(choices))
+            value = choices[rng.integers(len(choices))]
             used_regs.append(value)
         elif kind is OperandKind.REG_HIGH:
             choices = [r for r in range(16, 32) if r not in used_regs]
-            value = int(rng.choice(choices))
+            value = choices[rng.integers(len(choices))]
             used_regs.append(value)
         elif kind is OperandKind.REG_MUL:
             value = int(rng.integers(16, 24))
         elif kind is OperandKind.REG_PAIR:
             value = int(rng.integers(0, 16)) * 2
         elif kind is OperandKind.REG_PAIR_HIGH:
-            value = int(rng.choice([24, 26, 28, 30]))
+            value = _REG_PAIR_HIGH[rng.integers(len(_REG_PAIR_HIGH))]
         elif kind is OperandKind.IMM8:
             value = int(rng.integers(0, 256))
         elif kind is OperandKind.IMM6:
@@ -157,8 +159,7 @@ def random_instance(
         elif kind is OperandKind.IO5:
             value = int(rng.integers(0, 32))
         elif kind is OperandKind.IO6:
-            choices = [a for a in range(64) if a not in _RESERVED_IO]
-            value = int(rng.choice(choices))
+            value = _IO6_CHOICES[rng.integers(len(_IO6_CHOICES))]
         elif kind in (OperandKind.BIT, OperandKind.SREG_BIT):
             value = int(rng.integers(0, 8))
         elif kind is OperandKind.REL7 or kind is OperandKind.REL12:
@@ -214,7 +215,7 @@ class RegisterSampler:
     def __call__(
         self, rng: np.random.Generator, word_address: int
     ) -> Instruction:
-        key = str(rng.choice(list(self.pool)))
+        key = self.pool[rng.integers(len(self.pool))]
         return random_instance(
             key,
             rng,
@@ -226,31 +227,21 @@ class RegisterSampler:
 class _FileCaptureTask:
     """Picklable per-program-file capture job for the worker pool.
 
-    Each call captures one program file.  All randomness derives from
-    ``Acquisition._rng("class", label, "file", file_index)`` — already
-    independent per file — so the result depends only on the task, never
-    on the worker that ran it.
+    Holds only the acquisition bench; each item names the file to
+    capture, ``(class_key, label, fixed, target_sampler, file_index,
+    count)``, so one task serves every class of a set.  All randomness
+    derives from ``Acquisition._rng("class", label, "file", file_index)``
+    — already independent per file — so the result depends only on the
+    item, never on the worker that ran it.
     """
 
-    def __init__(self, acquisition, class_key, label, fixed, target_sampler):
+    def __init__(self, acquisition: "Acquisition") -> None:
         self.acquisition = acquisition
-        self.class_key = class_key
-        self.label = label
-        self.fixed = dict(fixed) if fixed else None
-        self.target_sampler = target_sampler
 
     def __call__(
-        self, task: Tuple[int, int]
+        self, item: tuple
     ) -> Tuple[np.ndarray, Optional["ScreeningStats"]]:
-        file_index, count = task
-        return self.acquisition._capture_class_file(
-            self.class_key,
-            self.label,
-            self.fixed,
-            self.target_sampler,
-            file_index,
-            count,
-        )
+        return self.acquisition._capture_class_file(*item)
 
 
 @dataclass
@@ -363,7 +354,7 @@ class Acquisition:
         self, rng: np.random.Generator, word_address: int, before_target: bool
     ) -> Instruction:
         while True:
-            key = str(rng.choice(self.neighbor_pool))
+            key = self.neighbor_pool[rng.integers(len(self.neighbor_pool))]
             if before_target and REGISTRY[key].semantics in _SKIP_KEYS:
                 continue
             return random_instance(key, rng, word_address=word_address)
@@ -606,6 +597,66 @@ class Acquisition:
             windows = windows - self.reference_window()
         return windows, stats
 
+    def _capture_classes(
+        self,
+        classes: Sequence[tuple],
+        n_traces: int,
+        n_programs: int,
+        n_jobs: Optional[int],
+        program_id_offset: int = 0,
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Capture every ``(class_key, label, fixed, sampler)`` of a set.
+
+        All (class, file) items go through ONE :func:`parallel_map`, so a
+        set pays for one pool, not one per class.  Files are independent
+        work items (each owns a derived sub-seed), so the result is
+        bit-for-bit identical for any worker count.  A workload-size
+        heuristic keeps small captures serial: the pool is only engaged
+        when every worker gets at least ``REPRO_PARALLEL_MIN_FILES``
+        files (default 4).
+
+        Returns:
+            one ``(windows, program_ids)`` pair per class, in order.
+        """
+        per_file = [n_traces // n_programs] * n_programs
+        for i in range(n_traces - sum(per_file)):
+            per_file[i] += 1
+        files = [(i, count) for i, count in enumerate(per_file) if count]
+        items = [
+            (key, label, dict(fixed) if fixed else None, sampler, index, count)
+            for key, label, fixed, sampler in classes
+            for index, count in files
+        ]
+        n_jobs = n_jobs if n_jobs is not None else self.n_jobs
+        min_files = _min_files_per_worker()
+        workers = effective_workers(
+            len(items), resolve_n_jobs(n_jobs), min_files
+        )
+        with _obs.span("capture.set", n_items=len(items), workers=workers):
+            if self.reference_subtraction:
+                # Materialize the cached reference BEFORE the pool starts,
+                # so workers reuse it instead of each re-deriving it.
+                self.reference_window()
+            results = parallel_map(
+                _FileCaptureTask(self),
+                items,
+                n_jobs=n_jobs,
+                min_items_per_worker=min_files,
+            )
+            out = []
+            for c, (_, label, _, _) in enumerate(classes):
+                chunk = results[c * len(files):(c + 1) * len(files)]
+                self._record_stats(label, (stats for _, stats in chunk))
+                # Quarantine may have dropped rows; count what survived.
+                program_ids = np.concatenate([
+                    np.full(len(windows), program_id_offset + index)
+                    for (index, _), (windows, _) in zip(files, chunk)
+                ])
+                out.append(
+                    (np.concatenate([w for w, _ in chunk]), program_ids)
+                )
+            return out
+
     def capture_class(
         self,
         class_key: str,
@@ -619,62 +670,45 @@ class Acquisition:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Capture ``n_traces`` of one class across ``n_programs`` files.
 
-        Files are independent work items (each owns a derived sub-seed),
-        captured serially or on a process pool (``n_jobs``); the result
-        is bit-for-bit identical either way.  A workload-size heuristic
-        keeps small captures serial: the pool is only engaged when every
-        worker gets at least ``REPRO_PARALLEL_MIN_FILES`` files
-        (default 4), since per-file work is far cheaper than worker
-        startup below that.
+        Files are captured serially or on a process pool (``n_jobs``);
+        the result is bit-for-bit identical either way (see
+        :meth:`capture_instruction_set` for a whole set on one pool).
 
         Returns:
             ``(windows, program_ids)`` arrays.
         """
-        with _obs.span("capture.class", label=label_override or class_key,
-                       n_traces=n_traces):
-            return self._capture_class_inner(
-                class_key, n_traces, n_programs, fixed, label_override,
-                target_sampler, program_id_offset, n_jobs,
-            )
-
-    def _capture_class_inner(
-        self,
-        class_key: str,
-        n_traces: int,
-        n_programs: int,
-        fixed: Optional[Mapping[int, int]],
-        label_override: Optional[str],
-        target_sampler,
-        program_id_offset: int,
-        n_jobs: Optional[int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        per_file = [n_traces // n_programs] * n_programs
-        for i in range(n_traces - sum(per_file)):
-            per_file[i] += 1
-        if self.reference_subtraction:
-            # Materialize the cached reference BEFORE tasks are pickled,
-            # so workers reuse it instead of each re-deriving it.
-            self.reference_window()
         label = label_override if label_override is not None else class_key
-        tasks = [
-            (file_index, count)
-            for file_index, count in enumerate(per_file)
-            if count > 0
-        ]
-        run = _FileCaptureTask(self, class_key, label, fixed, target_sampler)
-        results = parallel_map(
-            run,
-            tasks,
-            n_jobs=n_jobs if n_jobs is not None else self.n_jobs,
-            min_items_per_worker=_min_files_per_worker(),
+        [(windows, program_ids)] = self._capture_classes(
+            [(class_key, label, fixed, target_sampler)],
+            n_traces, n_programs, n_jobs, program_id_offset,
         )
-        all_windows = [windows for windows, _ in results]
-        self._record_stats(label, (stats for _, stats in results))
-        program_ids: List[int] = []
-        for (file_index, _), windows in zip(tasks, all_windows):
-            # Quarantine may have dropped rows; count what survived.
-            program_ids.extend([program_id_offset + file_index] * len(windows))
-        return np.concatenate(all_windows), np.array(program_ids)
+        return windows, program_ids
+
+    def _trace_set(
+        self,
+        captured: Sequence[Tuple[np.ndarray, np.ndarray]],
+        label_names: Tuple[str, ...],
+        meta: Dict[str, object],
+    ) -> TraceSet:
+        """Assemble per-class captures into a labelled :class:`TraceSet`."""
+        screening = {
+            name: self.screening_stats[name].as_dict()
+            for name in label_names
+            if name in self.screening_stats
+        }
+        if screening:
+            meta["screening"] = screening
+        return TraceSet(
+            traces=np.concatenate([windows for windows, _ in captured]),
+            labels=np.concatenate([
+                np.full(len(windows), code)
+                for code, (windows, _) in enumerate(captured)
+            ]),
+            label_names=label_names,
+            program_ids=np.concatenate([pids for _, pids in captured]),
+            device=self.device.name,
+            meta=meta,
+        )
 
     def capture_instruction_set(
         self,
@@ -683,34 +717,18 @@ class Acquisition:
         n_programs: int = 10,
         n_jobs: Optional[int] = None,
     ) -> TraceSet:
-        """Capture a labelled instruction-classification dataset."""
-        traces: List[np.ndarray] = []
-        labels: List[int] = []
-        program_ids: List[np.ndarray] = []
-        for code, key in enumerate(class_keys):
-            windows, pids = self.capture_class(
-                key, n_per_class, n_programs, n_jobs=n_jobs
-            )
-            traces.append(windows)
-            labels.extend([code] * len(windows))
-            program_ids.append(pids)
-        meta: Dict[str, object] = {
-            "kind": "instruction", "n_programs": n_programs,
-        }
-        screening = {
-            key: self.screening_stats[key].as_dict()
-            for key in class_keys
-            if key in self.screening_stats
-        }
-        if screening:
-            meta["screening"] = screening
-        return TraceSet(
-            traces=np.concatenate(traces),
-            labels=np.array(labels),
-            label_names=tuple(class_keys),
-            program_ids=np.concatenate(program_ids),
-            device=self.device.name,
-            meta=meta,
+        """Capture a labelled instruction-classification dataset.
+
+        Every (class, file) of the set runs on one pool (``n_jobs``).
+        """
+        captured = self._capture_classes(
+            [(key, key, None, None) for key in class_keys],
+            n_per_class, n_programs, n_jobs,
+        )
+        return self._trace_set(
+            captured,
+            tuple(class_keys),
+            {"kind": "instruction", "n_programs": n_programs},
         )
 
     def capture_register_set(
@@ -725,7 +743,8 @@ class Acquisition:
         """Capture a register-identification dataset (paper §5.3).
 
         For each profiled register, the instruction and the *other*
-        register are randomized per trace.
+        register are randomized per trace.  Every (register, file) of the
+        set runs on one pool (``n_jobs``).
 
         Args:
             role: ``"Rd"`` (destination, operand 0) or ``"Rr"`` (source,
@@ -742,11 +761,9 @@ class Acquisition:
                 DEFAULT_RD_POOL if role == "Rd" else DEFAULT_RR_POOL
             )
         pool = list(instruction_pool)
-        traces: List[np.ndarray] = []
-        labels: List[int] = []
-        program_ids: List[np.ndarray] = []
         label_names = tuple(f"{role}{reg}" for reg in registers)
-        for code, reg in enumerate(registers):
+        classes = []
+        for name, reg in zip(label_names, registers):
             compatible = [
                 key for key in pool
                 if _register_compatible(key, operand_index, reg)
@@ -755,36 +772,15 @@ class Acquisition:
                 raise ValueError(
                     f"no instruction in the pool accepts {role}=r{reg}"
                 )
-
             sampler = RegisterSampler(operand_index, reg, compatible)
-            windows, pids = self.capture_class(
-                class_key=pool[0],
-                n_traces=n_per_class,
-                n_programs=n_programs,
-                label_override=label_names[code],
-                target_sampler=sampler,
-                n_jobs=n_jobs,
-            )
-            traces.append(windows)
-            labels.extend([code] * len(windows))
-            program_ids.append(pids)
-        meta: Dict[str, object] = {
-            "kind": f"register-{role}", "n_programs": n_programs,
-        }
-        screening = {
-            name: self.screening_stats[name].as_dict()
-            for name in label_names
-            if name in self.screening_stats
-        }
-        if screening:
-            meta["screening"] = screening
-        return TraceSet(
-            traces=np.concatenate(traces),
-            labels=np.array(labels),
-            label_names=label_names,
-            program_ids=np.concatenate(program_ids),
-            device=self.device.name,
-            meta=meta,
+            classes.append((pool[0], name, None, sampler))
+        captured = self._capture_classes(
+            classes, n_per_class, n_programs, n_jobs
+        )
+        return self._trace_set(
+            captured,
+            label_names,
+            {"kind": f"register-{role}", "n_programs": n_programs},
         )
 
     def capture_mixed_program(

@@ -72,17 +72,26 @@ def _bit(value: int, index: int) -> int:
     return (value >> index) & 1
 
 
+#: SREG bits written by 8-bit add/subtract (H, S, V, N, Z, C) and by the
+#: logic instructions (S, V, N, Z); I and T are never touched.
+_ARITH_FLAGS = 0x3F
+_LOGIC_FLAGS = 0x1E
+
+
 def _add8(state: CpuState, rd: int, rr: int, carry: int) -> int:
     total = rd + rr + carry
     res = total & 0xFF
-    state.set_flags(
-        H=((rd & 0xF) + (rr & 0xF) + carry) >> 4 & 1,
-        C=total >> 8 & 1,
-        N=res >> 7,
-        V=(~(rd ^ rr) & (rd ^ res) & 0x80) >> 7,
-        Z=1 if res == 0 else 0,
+    n = res >> 7
+    v = (~(rd ^ rr) & (rd ^ res) & 0x80) >> 7
+    state.write_flags(
+        _ARITH_FLAGS,
+        (total >> 8 & 1)  # C
+        | (1 if res == 0 else 0) << 1  # Z
+        | n << 2
+        | v << 3
+        | (n ^ v) << 4  # S
+        | (((rd & 0xF) + (rr & 0xF) + carry) >> 4 & 1) << 5,  # H
     )
-    state.set_flag("S", state.flag("N") ^ state.flag("V"))
     return res
 
 
@@ -91,21 +100,27 @@ def _sub8(state: CpuState, rd: int, rr: int, carry: int, keep_z: bool) -> int:
     res = total & 0xFF
     z = 1 if res == 0 else 0
     if keep_z:  # SBC/CPC: Z can be cleared but never set
-        z = z & state.flag("Z")
-    state.set_flags(
-        H=1 if (rd & 0xF) < (rr & 0xF) + carry else 0,
-        C=1 if rd < rr + carry else 0,
-        N=res >> 7,
-        V=((rd ^ rr) & (rd ^ res) & 0x80) >> 7,
-        Z=z,
+        z &= state.sreg >> 1
+    n = res >> 7
+    v = ((rd ^ rr) & (rd ^ res) & 0x80) >> 7
+    state.write_flags(
+        _ARITH_FLAGS,
+        (1 if rd < rr + carry else 0)  # C
+        | z << 1
+        | n << 2
+        | v << 3
+        | (n ^ v) << 4  # S
+        | (1 if (rd & 0xF) < (rr & 0xF) + carry else 0) << 5,  # H
     )
-    state.set_flag("S", state.flag("N") ^ state.flag("V"))
     return res
 
 
 def _logic_flags(state: CpuState, res: int) -> None:
-    state.set_flags(N=res >> 7, V=0, Z=1 if res == 0 else 0)
-    state.set_flag("S", state.flag("N"))
+    n = res >> 7
+    # V cleared, S = N ^ V = N.
+    state.write_flags(
+        _LOGIC_FLAGS, (1 if res == 0 else 0) << 1 | n << 2 | n << 4
+    )
 
 
 # ---------------------------------------------------------------------------

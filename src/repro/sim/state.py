@@ -117,8 +117,15 @@ class CpuState:
 
     def set_flags(self, **flags: int) -> None:
         """Write several SREG flags, e.g. ``set_flags(Z=1, C=0)``."""
+        sreg = self.data[_SREG_ADDR]
         for name, value in flags.items():
-            self.set_flag(name, value)
+            bit = 1 << SREG_BITS[name]
+            sreg = sreg | bit if value else sreg & ~bit
+        self.data[_SREG_ADDR] = sreg & 0xFF
+
+    def write_flags(self, mask: int, bits: int) -> None:
+        """Replace the SREG bits in ``mask`` by ``bits`` in one write."""
+        self.data[_SREG_ADDR] = (self.data[_SREG_ADDR] & ~mask & 0xFF) | bits
 
     # -- data space --------------------------------------------------------
     def load(self, address: int) -> int:

@@ -17,7 +17,19 @@ failure pattern*:
   single item completing): the pool is torn down — lingering worker
   processes are terminated, never leaked — completed results are kept,
   and the unfinished items go through the same retry funnel;
-* unpicklable work degrades to the serial path as before.
+* unpicklable work degrades to the serial path: an unpicklable item
+  always, an unpicklable ``fn`` only under ``spawn``/``forkserver``
+  (forked workers inherit it).
+
+How ``fn`` reaches the workers: each pool round hands ``fn`` to its
+workers once, through the executor's ``initializer``, and submits only
+the items (to the module-level trampoline :func:`_call_installed`).
+Under the ``fork`` start method (Linux's default before Python 3.14)
+workers inherit ``fn`` without pickling it; under ``spawn`` or
+``forkserver`` it is pickled once per worker, not once per item.  A task
+that holds a large object (the capture task holds its whole
+``Acquisition``) therefore costs the same to ship for 4 items as for
+400.
 
 Worker-count resolution (:func:`resolve_n_jobs`):
 
@@ -201,6 +213,22 @@ def _note_failure(
     record.error = error
 
 
+#: The work function of the pool round this worker process serves,
+#: installed once per worker by :func:`_install_fn`.
+_INSTALLED_FN: Optional[Callable] = None
+
+
+def _install_fn(fn: Callable) -> None:
+    """Pool initializer: keep ``fn`` for every item this worker runs."""
+    global _INSTALLED_FN
+    _INSTALLED_FN = fn
+
+
+def _call_installed(item):
+    """Module-level trampoline submitted per item: apply the installed fn."""
+    return _INSTALLED_FN(item)  # type: ignore[misc]
+
+
 def _pool_attempt(
     fn: Callable[[_T], _R],
     work: Sequence[_T],
@@ -220,7 +248,11 @@ def _pool_attempt(
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     try:
-        pool = ProcessPoolExecutor(max_workers=min(n_jobs, len(pending)))
+        pool = ProcessPoolExecutor(
+            max_workers=min(n_jobs, len(pending)),
+            initializer=_install_fn,
+            initargs=(fn,),
+        )
     except Exception as exc:
         for index in pending:
             _note_failure(failures, index, f"pool unavailable: {exc!r}")
@@ -232,7 +264,7 @@ def _pool_attempt(
     try:
         try:
             for index in pending:
-                future = pool.submit(fn, work[index])
+                future = pool.submit(_call_installed, work[index])
                 index_of[future] = index
                 waiting.add(future)
         except Exception as exc:
@@ -285,22 +317,29 @@ def parallel_map(
 ) -> List[_R]:
     """Map ``fn`` over ``items``, optionally on a process pool.
 
-    Results always come back in input order.  ``fn`` and every item must
-    be picklable to actually run on the pool; anything that prevents an
-    item from being delivered — unpicklable work, fork restrictions, a
-    killed or hung worker — is retried on a fresh pool up to ``retries``
-    times and then re-executed on the serial path.  Because work items
-    are pure functions of their own inputs, the final result is identical
-    for any worker count and any failure pattern, and a genuine error
-    raised by ``fn`` still surfaces (from the serial pass, with an
-    undecorated traceback).
+    Results always come back in input order.  ``fn`` reaches each worker
+    once per pool round, as the executor's initializer argument: forked
+    workers inherit it unpickled, spawned ones unpickle it once.  Only
+    the items travel per submission, so every item must be picklable,
+    and so must ``fn`` under ``spawn``/``forkserver``.  Anything that
+    prevents an item from being delivered — unpicklable work, fork
+    restrictions, a killed or hung worker — is retried on a fresh pool
+    up to ``retries`` times and then re-executed on the serial path.
+    Because work items are pure functions of their own inputs, the final
+    result is identical for any worker count and any failure pattern,
+    and a genuine error raised by ``fn`` still surfaces (from the serial
+    pass, with an undecorated traceback).
 
     Library callers must pass a module-level function or a picklable
     task instance — never a lambda or closure, which pickle by qualified
-    name and silently force the serial path.  This is machine-checked
-    whole-program by ``REP010`` in :mod:`repro.analysis` (the rule
-    resolves the callable through the import graph, so a lambda imported
-    from another module is caught at the submission site).
+    name.  Under ``fork`` such a callable still reaches the workers
+    (inherited, never pickled), so "lambdas force the serial path" now
+    holds only under ``spawn`` and ``forkserver``.  The rule stays:
+    library code must not depend on the start method.  It is
+    machine-checked whole-program by ``REP010`` in :mod:`repro.analysis`
+    (the rule resolves the callable through the import graph, so a
+    lambda imported from another module is caught at the submission
+    site).
 
     Args:
         fn: callable applied to each item (module-level for pool use).

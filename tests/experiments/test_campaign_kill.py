@@ -4,7 +4,9 @@ Launches a real ``python -m repro.experiments.campaign`` subprocess with
 per-cell pacing, SIGKILLs it after the first shard checkpoint lands (a
 genuine hard kill — no atexit, no finally blocks), then resumes into the
 same checkpoint directory and asserts the merged ResultTable matches an
-uninterrupted run row for row.
+uninterrupted run row for row.  The campaign runs in its own session, and
+the kill goes to its whole process group, so its pool workers die with it
+instead of outliving the test.
 """
 
 import os
@@ -26,6 +28,41 @@ def _campaign_env():
     env = dict(os.environ)  # replint: disable=REP001 -- passed through to a subprocess verbatim, no knob is read
     env["PYTHONPATH"] = os.path.abspath(src)
     return env
+
+
+def _live_group_members(pgid):
+    """Pids in process group ``pgid`` that are still running (not zombies)."""
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state not in ("Z", "X"):
+            alive.append(int(entry))
+    return alive
+
+
+def _kill_group(pgid, deadline_s=30.0):
+    """SIGKILL process group ``pgid``; return members still alive after."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return []
+    if not os.path.isdir("/proc"):  # pragma: no cover - non-Linux hosts
+        return []
+    started = time.time()
+    while time.time() - started < deadline_s:
+        alive = _live_group_members(pgid)
+        if not alive:
+            return []
+        time.sleep(0.05)
+    return _live_group_members(pgid)
 
 
 def _wait_for_first_shard(ckpt_dir, proc, deadline_s=120.0):
@@ -55,16 +92,17 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
         env=_campaign_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,  # the campaign leads its own process group
     )
+    survivors = []
     try:
         saw_shard = _wait_for_first_shard(ckpt, proc)
-        if proc.poll() is None:
-            os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=30)
     finally:
-        if proc.poll() is None:  # pragma: no cover - cleanup belt
-            proc.kill()
-            proc.wait(timeout=30)
+        # Kill the campaign and its pool workers together, even when the
+        # wait above failed, so no process of the run outlives the test.
+        survivors = _kill_group(proc.pid)
+        proc.wait(timeout=30)
+    assert not survivors, f"killed campaign's processes survived: {survivors}"
     assert saw_shard, "campaign never checkpointed its first shard"
     killed_shards = sorted(p.name for p in ckpt.glob("shard-*.pkl"))
     assert killed_shards, "SIGKILL landed before any checkpoint survived"

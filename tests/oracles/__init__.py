@@ -16,6 +16,9 @@ Oracle                   Fast path it checks
 ``cwt_transform``        ``repro.dsp.cwt.CWT.transform``
 ``point_operator``       ``repro.dsp.cwt.CWT.point_operator``
 ``decode_one``           ``repro.isa.disasm.decode_one``
+``add8``, ``sub8``,      ``repro.sim.cpu._add8``, ``_sub8``,
+``logic_flags``          ``_logic_flags`` (one packed SREG write)
+``set_flags``            ``repro.sim.state.CpuState.set_flags``
 ``render_events``        ``repro.power.model.PowerModel.render_events``
 ``within_class_kl``      ``repro.features.kl.within_class_kl``
 ``wavelet_stats``        ``repro.features.kl.WaveletStats.stream`` (and
@@ -33,6 +36,7 @@ Oracle                   Fast path it checks
 
 from .cwt import cwt_transform, point_operator
 from .decode import decode_one
+from .flags import add8, logic_flags, set_flags, sub8
 from .hierarchy import predict_instructions
 from .kl import dnvp_fit, within_class_kl
 from .ovo import ovo_fit, ovo_predict, ovo_vote_matrix
@@ -41,15 +45,19 @@ from .stats import wavelet_stats
 from .voting import voting_pair_points, voting_predict
 
 __all__ = [
+    "add8",
     "cwt_transform",
     "decode_one",
     "dnvp_fit",
+    "logic_flags",
     "ovo_fit",
     "ovo_predict",
     "ovo_vote_matrix",
     "point_operator",
     "predict_instructions",
     "render_events",
+    "set_flags",
+    "sub8",
     "voting_pair_points",
     "voting_predict",
     "wavelet_stats",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.power.acquisition import Acquisition, RegisterSampler
+from repro.power.faults import FaultInjector
 from repro.sim.cpu import AvrCpu
 from repro.util.parallel import parallel_map, resolve_n_jobs
 from tests.oracles import render_events
@@ -156,6 +157,78 @@ class TestParallelCaptureDeterminism:
         clone = pickle.loads(pickle.dumps(sampler))
         rng_a, rng_b = (np.random.default_rng(2) for _ in range(2))
         assert clone(rng_a, 0).encode() == sampler(rng_b, 0).encode()
+
+
+class TestOnePoolPerSet:
+    """A set capture maps every (class, file) on one pool."""
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.delenv("REPRO_PARALLEL_MIN_FILES", raising=False)
+        original = concurrent.futures.ProcessPoolExecutor
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", counting
+        )
+        return made
+
+    def test_instruction_set_builds_one_pool(self, pools):
+        # 8 files per class: each class alone would fill a 2-worker pool.
+        Acquisition(seed=5).capture_instruction_set(
+            ["ADD", "EOR", "LDS"], 16, n_programs=8, n_jobs=2
+        )
+        assert pools == [2]
+
+    def test_register_set_builds_one_pool(self, pools):
+        Acquisition(seed=5).capture_register_set(
+            "Rd", [0, 16, 31], 16, n_programs=8, n_jobs=2
+        )
+        assert pools == [2]
+
+    def test_faulty_screened_sets_match_serial(self):
+        def capture(n_jobs):
+            acq = Acquisition(
+                seed=3,
+                n_jobs=n_jobs,
+                faults=FaultInjector(rate=0.15),
+                screener=True,
+            )
+            keys = ["ADD", "EOR", "LDS", "RJMP"]
+            sets = [
+                acq.capture_instruction_set(keys, 48, 8),
+                acq.capture_register_set("Rd", [1, 17], 32, 8),
+            ]
+            return sets, acq.screening_report()
+
+        (serial, serial_report), (pooled, pooled_report) = (
+            capture(1), capture(2)
+        )
+        assert pooled_report == serial_report
+        # The case covers quarantine: some rows were dropped.
+        assert sum(s["n_quarantined"] for s in serial_report.values()) > 0
+        for a, b in zip(serial, pooled):
+            np.testing.assert_array_equal(a.traces, b.traces)
+            np.testing.assert_array_equal(a.labels, b.labels)
+            np.testing.assert_array_equal(a.program_ids, b.program_ids)
+            assert a.label_names == b.label_names
+            assert a.meta == b.meta
+
+    def test_capture_class_matches_its_row_of_the_set(self):
+        ts = Acquisition(seed=9).capture_instruction_set(
+            ["ADD", "LDS"], 20, n_programs=4, n_jobs=2
+        )
+        windows, pids = Acquisition(seed=9).capture_class(
+            "LDS", 20, n_programs=4, n_jobs=2
+        )
+        np.testing.assert_array_equal(ts.traces[ts.labels == 1], windows)
+        np.testing.assert_array_equal(ts.program_ids[ts.labels == 1], pids)
 
 
 class TestBatchedRenderer:

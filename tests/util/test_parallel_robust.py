@@ -186,3 +186,61 @@ class TestFailureContext:
         attrs = spans[-1].attrs
         assert attrs.get("n_item_failures", 0) >= 1
         assert any("#3" in line for line in attrs.get("item_failures", []))
+
+
+class _CountedTask:
+    """Work function that counts, in the parent, how often it is pickled."""
+
+    pickled = 0
+
+    def __getstate__(self):
+        type(self).pickled += 1
+        return {}
+
+    def __setstate__(self, state):
+        pass
+
+    def __call__(self, x):
+        return 3 * x
+
+
+def _spawn_pool(monkeypatch):
+    """Make the pool start its workers with ``spawn`` (pickles the task)."""
+    import concurrent.futures
+    import multiprocessing
+
+    original = concurrent.futures.ProcessPoolExecutor
+
+    def spawning(*args, **kwargs):
+        kwargs["mp_context"] = multiprocessing.get_context("spawn")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
+
+
+class TestTaskShipping:
+    """``fn`` reaches each worker once per pool, never once per item."""
+
+    @pytest.mark.parametrize("start", ["default", "spawn"])
+    def test_task_pickled_at_most_once_per_worker(self, monkeypatch, start):
+        if start == "spawn":
+            _spawn_pool(monkeypatch)
+        _CountedTask.pickled = 0
+        result = parallel_map(_CountedTask(), range(32), n_jobs=2, timeout=0)
+        assert result == [3 * i for i in range(32)]
+        assert _CountedTask.pickled <= 2
+        if start == "spawn":  # the count is live: spawned workers unpickle
+            assert _CountedTask.pickled >= 1
+
+    def test_closure_runs_on_forked_pool(self):
+        import multiprocessing
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("closures reach workers unpickled only under fork")
+        offset = 5
+        pids = parallel_map(
+            lambda x: (x + offset, os.getpid()), range(8), n_jobs=2,
+            timeout=0,
+        )
+        assert [value for value, _ in pids] == [x + 5 for x in range(8)]
+        assert os.getpid() not in {pid for _, pid in pids}

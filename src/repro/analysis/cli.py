@@ -5,17 +5,17 @@ Usage::
     python -m repro.analysis [PATH ...]           # lint (default roots)
     python -m repro.analysis --format json src    # machine-readable output
     python -m repro.analysis --list-rules         # what gets checked
-    python -m repro.analysis --changed-since REF  # PR mode: diff + dependents
-    python -m repro.analysis --baseline FILE      # ratchet known findings
-    python -m repro.analysis --check-docs         # README table in sync?
+    python -m repro.analysis --check-docs         # lint + README table in sync?
     python -m repro.analysis --fix-docs           # rewrite the README table
 
 Default roots are every one of ``src``, ``tests``, ``benchmarks`` that
 exists — benchmarks joins the walk because the bench-harness knobs are
 read there and REP012 judges knob liveness whole-program.
 
-Exit status: 0 clean, 1 findings (or docs drift / stale baseline
-entries), 2 usage/IO errors (bad ref, malformed baseline, missing path).
+Every run lints the whole of its paths, serially, in one process.
+
+Exit status: 0 clean, 1 findings (or docs drift), 2 usage/IO errors
+(missing path, no lint roots, unreadable README).
 """
 
 from __future__ import annotations
@@ -25,16 +25,12 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .baseline import Baseline
 from .core import RULE_REGISTRY
 from .docs import check_knob_table, sync_knob_table
 from .reporters import render_json, render_text
 from .runner import run
 
 __all__ = ["build_parser", "default_paths", "main"]
-
-#: Incremental phase-1 cache location (see repro.analysis.cache).
-DEFAULT_CACHE_DIR = ".replint-cache"
 
 
 def default_paths() -> List[str]:
@@ -69,57 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the file walk (default: REPRO_N_JOBS)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=(
-            "incremental cache directory for per-file scans "
-            f"(default: {DEFAULT_CACHE_DIR})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="scan every file cold, ignoring and not writing the cache",
-    )
-    parser.add_argument(
-        "--changed-since",
-        metavar="REF",
-        default=None,
-        help=(
-            "report only findings in files changed since the git ref, plus "
-            "files that transitively import them (PR CI mode); the whole "
-            "tree is still modeled so cross-module rules stay sound"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "ratchet file of accepted findings; matches are demoted to "
-            "non-failing notes, stale entries fail the run"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite --baseline FILE from the current findings (carrying "
-            "over existing justifications) and exit 0"
-        ),
-    )
-    parser.add_argument(
-        "--no-warn-unused-suppressions",
-        action="store_true",
-        help="do not report stale # replint: disable comments (REP013)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule set and exit",
@@ -139,11 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="README.md",
         help="README path for --check-docs/--fix-docs (default: README.md)",
     )
-    parser.add_argument(
-        "--no-lint",
-        action="store_true",
-        help="with --check-docs: skip the lint pass itself",
-    )
     return parser
 
 
@@ -162,10 +102,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         sys.stdout.write(_list_rules())
         return 0
-
-    if args.update_baseline and args.baseline is None:
-        sys.stderr.write("replint: --update-baseline requires --baseline\n")
-        return 2
 
     if args.fix_docs:
         try:
@@ -197,8 +133,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             status = 1
         else:
             sys.stdout.write("replint: README knob table in sync\n")
-        if args.no_lint:
-            return status
 
     paths = args.paths if args.paths else default_paths()
     if not paths:
@@ -208,47 +142,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    if args.update_baseline:
-        # Collect the *full* finding set (no baseline demotion, no diff
-        # filtering) and rewrite the ratchet file from it.
-        try:
-            result = run(
-                paths,
-                n_jobs=args.jobs,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                warn_unused_suppressions=not args.no_warn_unused_suppressions,
-            )
-            previous = (
-                Baseline.load(args.baseline)
-                if os.path.exists(args.baseline)
-                else None
-            )
-            Baseline.from_findings(result.findings, previous).save(
-                args.baseline
-            )
-        except (FileNotFoundError, ValueError, OSError) as exc:
-            sys.stderr.write(f"replint: {exc}\n")
-            return 2
-        sys.stdout.write(
-            f"replint: wrote {len(result.findings)} finding"
-            f"{'s' if len(result.findings) != 1 else ''} to {args.baseline}\n"
-        )
-        return 0
-
     try:
-        result = run(
-            paths,
-            n_jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            changed_since=args.changed_since,
-            baseline_path=args.baseline,
-            warn_unused_suppressions=not args.no_warn_unused_suppressions,
-        )
-    except (FileNotFoundError, ValueError) as exc:
+        result = run(paths)
+    except FileNotFoundError as exc:
         sys.stderr.write(f"replint: {exc}\n")
         return 2
     renderer = render_json if args.format == "json" else render_text
     sys.stdout.write(renderer(result))
-    if not result.ok or result.stale_baseline:
+    if not result.ok:
         status = 1
     return status

@@ -1,16 +1,16 @@
 """Framework for ``replint`` — findings, file contexts, the rule registry.
 
 The checker is deliberately small: a rule is a class with a ``code``
-(``REP001``...), a one-line ``description``, and up to three hooks —
+(``REP001``...), a one-line ``description``, and up to two hooks —
 
-* :meth:`Rule.check_file` — per-file AST checks, runs on the worker pool;
-* :meth:`Rule.collect` — extract a *picklable* fact bundle from one file
-  (also on the pool);
-* :meth:`Rule.finalize` — cross-file checks over every collected fact
-  bundle (runs once, in the parent process).
+* :meth:`Rule.check_file` — per-file AST checks over one
+  :class:`FileContext` (its ``nodes`` are the tree walked once);
+* :meth:`Rule.check_project` — whole-program checks against the
+  assembled :class:`~repro.analysis.project.ProjectModel`.
 
-Per-file findings are filtered against inline suppressions before they
-leave the worker.  A suppression is a comment on the flagged line::
+The runner filters every finding, from either hook, against the owning
+file's inline suppressions.  A suppression is a comment on the flagged
+line::
 
     x = time.time()  # replint: disable=REP003 -- wall-clock display only
 
@@ -34,7 +34,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     Type,
 )
 
@@ -120,8 +119,13 @@ def _comment_lines(source_lines: Sequence[str]) -> Dict[int, str]:
 
 def parse_suppressions(source_lines: Sequence[str]) -> Suppressions:
     """Extract ``# replint: disable[...]`` comments (real comments only;
-    markers inside string literals do not count)."""
+    markers inside string literals do not count).  A file with no line
+    matching the marker has none, so it is not tokenized."""
     result = Suppressions()
+    if not any(
+        "replint" in line and _SUPPRESS_RE.search(line) for line in source_lines
+    ):
+        return result
     file_wide: set = set()
     for lineno, text in sorted(_comment_lines(source_lines).items()):
         match = _SUPPRESS_RE.search(text)
@@ -151,6 +155,8 @@ class FileContext:
         self.path = path.replace("\\", "/")
         self.source = source
         self.tree = tree
+        #: Every node of ``tree``, walked once and shared by all rules.
+        self.nodes: List[ast.AST] = list(ast.walk(tree))
         self.lines: List[str] = source.splitlines()
         self.suppressions = parse_suppressions(self.lines)
 
@@ -193,23 +199,13 @@ class Rule:
     description: str = ""
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
-        """Per-file findings (worker side).  Default: none."""
-        return []
-
-    def collect(self, ctx: FileContext) -> Optional[object]:
-        """Picklable fact bundle for :meth:`finalize` (worker side)."""
-        return None
-
-    def finalize(
-        self, facts: Sequence[Tuple[str, object]]
-    ) -> List[Finding]:
-        """Cross-file findings from every ``(path, fact)`` collected."""
+        """Per-file findings.  Default: none."""
         return []
 
     def check_project(self, project: "ProjectModel") -> List[Finding]:
         """Whole-program findings against the assembled project model
-        (import graph, symbol tables, call/def index).  Runs once, in
-        the parent, after every file is scanned.  Default: none."""
+        (import graph, symbol tables, call/def index).  Runs once, after
+        every file is scanned.  Default: none."""
         return []
 
     def finding(

@@ -5,12 +5,11 @@ invariants added since PR 4 — compiled-inference dtype policy, crash-safe
 ``parallel_map`` submission, obs span coverage, knob liveness — span
 modules, so they need a *whole-program* view.  This module builds it:
 
-* :func:`collect_module_info` distills one parsed file into a picklable
+* :func:`collect_module_info` distills one parsed file into a
   :class:`ModuleInfo` — import bindings resolved to absolute dotted
   targets, module-level symbol table, and a per-function index of call
   sites, ``with``-context calls, decorators, and trace-shaped loops.
-  It runs on the worker pool alongside the per-file rules and its output
-  is cached by the incremental driver (see :mod:`.cache`).
+  The runner calls it once per file, next to the per-file rules.
 * :class:`ProjectModel` assembles every ``ModuleInfo`` into the project
   graph: a resolved import graph (forward and reverse), cross-module
   symbol resolution that follows re-export chains, and a call/def index
@@ -209,14 +208,36 @@ def _is_trace_loop(node: ast.AST) -> bool:
     return False
 
 
-class _ModuleCollector(ast.NodeVisitor):
-    """Single AST pass filling a :class:`ModuleInfo`."""
+class _ModuleCollector:
+    """Single AST pass filling a :class:`ModuleInfo`.
+
+    Visits in :class:`ast.NodeVisitor` order, but dispatches through the
+    per-type :data:`_HANDLERS` table instead of a method-name lookup per
+    node: this walk is the lint's hottest Python loop.
+    """
 
     def __init__(self, info: ModuleInfo, package: str) -> None:
         self.info = info
         self.package = package  #: package context for relative imports.
         self._fn_stack: List[FunctionInfo] = []
         self._class_stack: List[str] = []
+
+    def visit(self, node: ast.AST) -> None:
+        handler = _HANDLERS.get(type(node))
+        if handler is None:
+            self.generic_visit(node)
+        else:
+            handler(self, node)
+
+    def generic_visit(self, node: ast.AST) -> None:
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        self.visit(item)
+            elif isinstance(value, ast.AST):
+                self.visit(value)
 
     # -- helpers -------------------------------------------------------------
     @property
@@ -397,8 +418,16 @@ class _ModuleCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+#: AST node type -> ``_ModuleCollector.visit_<Type>``.
+_HANDLERS = {
+    getattr(ast, name[len("visit_"):]): method
+    for name, method in vars(_ModuleCollector).items()
+    if name.startswith("visit_")
+}
+
+
 def collect_module_info(ctx: FileContext) -> ModuleInfo:
-    """Distill one parsed file into its picklable project-model slice."""
+    """Distill one parsed file into its project-model slice."""
     module = ctx.module_name
     if module and not ctx.path.endswith("/__init__.py"):
         package = module.rsplit(".", 1)[0] if "." in module else ""
@@ -424,6 +453,10 @@ class ProjectModel:
             self.by_path[info.path] = info
             if info.module:
                 self.by_module[info.module] = info
+        #: Top-level package names (``repro`` for ``repro.dsp.cwt``).
+        self._roots: Set[str] = {
+            name.split(".", 1)[0] for name in self.by_module
+        }
         self.import_graph: Dict[str, Set[str]] = {}
         for name in sorted(self.by_module):
             info = self.by_module[name]
@@ -484,23 +517,6 @@ class ProjectModel:
             frontier = nxt
         return reached
 
-    def dependents_closure(self, modules: Sequence[str]) -> Set[str]:
-        """The input modules plus everything that (transitively) imports
-        them — the invalidation set for an edit to ``modules``."""
-        closure: Set[str] = set()
-        frontier = [m for m in modules if m in self.reverse_graph]
-        closure.update(frontier)
-        while frontier:
-            nxt: List[str] = []
-            for module in frontier:
-                for importer in sorted(self.reverse_graph.get(module, ())):
-                    if importer not in closure:
-                        closure.add(importer)
-                        nxt.append(importer)
-            frontier = nxt
-        closure.update(m for m in modules if m)
-        return closure
-
     # -- symbol / call resolution --------------------------------------------
     def resolve_symbol(
         self, module: str, name: str, _depth: int = 0
@@ -539,9 +555,7 @@ class ProjectModel:
         info = self.by_module.get(module)
         if info is not None and head in info.symbols:
             return self._canonicalize(f"{module}.{dotted}")
-        if head in self.by_module or any(
-            key.startswith(head + ".") for key in self.by_module
-        ):
+        if head in self._roots:
             return self._canonicalize(dotted)
         return None
 

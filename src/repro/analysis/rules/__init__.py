@@ -3,11 +3,12 @@
 Importing this package populates :data:`repro.analysis.core.RULE_REGISTRY`;
 each module holds one rule so a rule's scope, heuristics, and rationale
 live next to its implementation.  REP002 (fast/reference parity) is
-retired: stages no longer ship reference twins.  REP001–REP008 are
-per-file / cross-file rules; REP009–REP012 are whole-program rules that
-run against the :class:`~repro.analysis.project.ProjectModel`; REP013
-reports stale suppression comments (detected by the runner after every
-phase).
+retired: stages no longer ship reference twins.  REP001–REP008 and
+REP014 are per-file rules (``check_file``); REP009–REP012 are
+whole-program rules that run against the
+:class:`~repro.analysis.project.ProjectModel` (``check_project``);
+REP013 reports stale suppression comments (detected by the runner after
+both phases).
 """
 
 from __future__ import annotations

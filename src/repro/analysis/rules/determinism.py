@@ -20,7 +20,7 @@ Scope: ``src/repro`` only — tests may do what they like.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional
+from typing import List
 
 from ..core import FileContext, Finding, Rule, iter_call_name, register_rule
 
@@ -97,7 +97,7 @@ class DeterminismRule(Rule):
         if not ctx.in_library or ctx.is_test:
             return []
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 findings.extend(self._check_call(ctx, node))
             elif isinstance(node, (ast.For, ast.AsyncFor)):

@@ -42,7 +42,7 @@ class AccumulationDtypeRule(Rule):
         if not any(marker in ctx.path for marker in _SCOPED):
             return []
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if not isinstance(node.func, ast.Attribute):

@@ -72,7 +72,7 @@ class ExceptionHygieneRule(Rule):
         if not ctx.in_library or ctx.is_test:
             return []
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

@@ -11,16 +11,17 @@ Two invariants, both of which had already eroded by PR 2:
   reserved for test fixtures exercising the parsers themselves and is
   exempt.
 
-The name check is a cross-file pass so the registry is imported exactly
-once; use sites are reported individually.
+Both checks run in one pass over the file's nodes.  The env owner may
+touch ``os.environ`` but its knob literals are still checked.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
+from ...util.knobs import KNOBS
 from ..core import FileContext, Finding, Rule, iter_call_name, register_rule
 
 __all__ = ["KnobRegistryRule"]
@@ -41,10 +42,13 @@ class KnobRegistryRule(Rule):
     )
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
-        if ctx.path.endswith(_ENV_OWNER):
-            return []
+        env_owner = ctx.path.endswith(_ENV_OWNER)
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
+            if isinstance(node, ast.Call):
+                findings.extend(self._undeclared_knobs(ctx, node))
+            if env_owner:
+                continue
             if (
                 isinstance(node, ast.Attribute)
                 and node.attr in ("environ", "environb")
@@ -85,45 +89,29 @@ class KnobRegistryRule(Rule):
                     )
         return findings
 
-    def collect(
-        self, ctx: FileContext
-    ) -> Optional[List[Tuple[str, int, int]]]:
-        """``(knob name, line, col)`` for every knob literal used in a call."""
-        uses: List[Tuple[str, int, int]] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            args = list(node.args) + [kw.value for kw in node.keywords]
-            for arg in args:
-                if (
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and _KNOB_NAME.match(arg.value)
-                ):
-                    uses.append((arg.value, arg.lineno, arg.col_offset + 1))
-        return uses or None
-
-    def finalize(
-        self, facts: Sequence[Tuple[str, object]]
+    def _undeclared_knobs(
+        self, ctx: FileContext, call: ast.Call
     ) -> List[Finding]:
-        from ...util.knobs import KNOBS
-
+        """A finding at each undeclared ``REPRO_*`` literal passed to
+        ``call``, reported at the literal's own position."""
         findings: List[Finding] = []
-        for path, uses in facts:
-            for name, line, col in uses:  # type: ignore[attr-defined]
-                if name in KNOBS or name.startswith(_TEST_NAMESPACE):
-                    continue
-                findings.append(
-                    Finding(
-                        path=path,
-                        line=line,
-                        col=col,
-                        code=self.code,
-                        message=(
-                            f"knob {name!r} is not declared in "
-                            "repro.util.knobs.KNOBS (REPRO_TEST_* is the "
-                            "fixture namespace)"
-                        ),
-                    )
+        for arg in list(call.args) + [kw.value for kw in call.keywords]:
+            if not (
+                isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str)
+                and _KNOB_NAME.match(arg.value)
+            ):
+                continue
+            name = arg.value
+            if name in KNOBS or name.startswith(_TEST_NAMESPACE):
+                continue
+            findings.append(
+                self.finding(
+                    ctx,
+                    arg,
+                    f"knob {name!r} is not declared in "
+                    "repro.util.knobs.KNOBS (REPRO_TEST_* is the "
+                    "fixture namespace)",
                 )
+            )
         return findings

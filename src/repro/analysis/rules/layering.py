@@ -57,7 +57,7 @@ class ImportLayeringRule(Rule):
             if ctx.path.endswith("/__init__.py")
             else module.rsplit(".", 1)[0]
         )
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             targets: List[str] = []
             if isinstance(node, ast.Import):
                 targets = [alias.name for alias in node.names]

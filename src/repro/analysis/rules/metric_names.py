@@ -71,7 +71,7 @@ class MetricNamesRule(Rule):
             # The obs package itself forwards caller-supplied names.
             return []
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             leaf = _factory_name(node)

@@ -40,7 +40,7 @@ class PrintingRule(Rule):
         if not ctx.in_library or ctx.is_test or ctx.is_entry_point:
             return []
         findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if (

@@ -8,9 +8,9 @@ regression.  This rule reports any suppression — line-scoped or
 file-wide — that silenced nothing during the run.
 
 The detection lives in :mod:`repro.analysis.runner` rather than in a
-hook here, because "unused" is only decidable after *every* phase (per
--file, cross-file, and project rules) has had the chance to fire into
-the suppression.  This class exists so the code appears in
+hook here, because "unused" is only decidable after *both* phases
+(per-file and project rules) have had the chance to fire into the
+suppression.  This class exists so the code appears in
 ``--list-rules``, the JSON report's rule table, and the docs.
 
 Escape hatches, to avoid self-reference loops: a suppression that names

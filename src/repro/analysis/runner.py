@@ -1,58 +1,44 @@
 """File walk + two-phase whole-program rule execution for replint.
 
-Phase 1 (per-file, parallel, cached): every file is parsed once; each
-rule's ``check_file`` findings and ``collect`` facts are captured, plus
-the file's :class:`~repro.analysis.project.ModuleInfo` slice of the
-project model.  The work fans out over
-:func:`repro.util.parallel.parallel_map` and is memoized by content
-fingerprint in ``.replint-cache/`` (see :mod:`.cache`) — a warm re-lint
-of a single-file edit parses one file, not the tree.
+Every run lints the whole of the given paths, serially and in process.
 
-Phase 2 (whole-program, serial): the collected ``ModuleInfo`` slices
-are assembled into a :class:`~repro.analysis.project.ProjectModel`
-(import graph, symbol tables, call/def index) and every rule's
-``finalize`` and ``check_project`` hooks run against it.  Cross-module
-findings are subject to the owning file's inline suppressions, exactly
-like per-file ones.
+Phase 1 (per-file): every file is parsed once into a
+:class:`~repro.analysis.core.FileContext`; each rule's ``check_file``
+runs on it, and the file's :class:`~repro.analysis.project.ModuleInfo`
+slice of the project model is collected.
 
-Post-passes, in order:
+Phase 2 (whole-program): the ``ModuleInfo`` slices are assembled into a
+:class:`~repro.analysis.project.ProjectModel` (import graph, symbol
+tables, call/def index) and every rule's ``check_project`` hook runs
+against it.  Cross-module findings are subject to the owning file's
+inline suppressions, exactly like per-file ones.
 
-* **unused suppressions** (REP013) — any ``# replint: disable`` comment
-  that silenced nothing across *all* phases is itself reported;
-* **--changed-since** — findings are filtered to the edited files plus
-  their reverse-import closure (an edit to ``dsp.cwt`` re-reports every
-  module that can reach it; anything else is noise for a PR diff);
-* **--baseline** — findings fingerprinted in the ratchet file are
-  demoted to non-failing "baselined" notes and stale entries surface
-  (see :mod:`.baseline`).
+Last, any ``# replint: disable`` comment that silenced nothing in either
+phase is itself reported (REP013).
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..util.parallel import parallel_map
-from .baseline import Baseline, BaselineEntry
-from .cache import ScanCache, changed_files, file_fingerprint, rules_signature
-from .core import PARSE_ERROR_CODE, Finding, Suppressions
-from .project import ModuleInfo, ProjectModel
+from .core import PARSE_ERROR_CODE, FileContext, Finding, Suppressions
+from .project import ModuleInfo, ProjectModel, collect_module_info
 from .rules import all_rules
 from .rules.suppressions import UNUSED_SUPPRESSION_CODE
 
 __all__ = ["ScanResult", "iter_python_files", "run"]
 
 #: Directories never walked for lintable files: caches, VCS internals,
-#: and build output.  Kept explicit so a stray ``build/lib/...`` copy or
-#: the scan cache itself can never shadow real findings.
+#: and build output.  Kept explicit so a stray ``build/lib/...`` copy
+#: can never shadow real findings.
 _EXCLUDED_DIRS = frozenset(
     {
         "__pycache__",
         ".git",
         ".pytest_cache",
-        ".replint-cache",
         ".mypy_cache",
         ".ruff_cache",
         "build",
@@ -62,49 +48,24 @@ _EXCLUDED_DIRS = frozenset(
 
 
 @dataclass
-class _FileScan:
-    """Picklable per-file scan output (worker -> parent, and the unit
-    the incremental cache stores).  ``findings`` are *raw* — inline
-    suppressions are applied in the parent so suppression usage can be
-    accounted across every phase."""
-
-    path: str
-    findings: List[Finding] = field(default_factory=list)
-    facts: Dict[str, object] = field(default_factory=dict)
-    module_info: Optional[ModuleInfo] = None
-    suppress_lines: Dict[int, Optional[FrozenSet[str]]] = field(
-        default_factory=dict
-    )
-    suppress_file: FrozenSet[str] = frozenset()
-
-
-@dataclass
 class ScanResult:
     """Everything one replint run produced."""
 
     findings: List[Finding]
     n_files: int
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
-    n_cached: int = 0
-    n_reported_files: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.n_cached / self.n_files if self.n_files else 0.0
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a deterministic sorted list of
     ``.py`` files.
 
-    Cache (``.replint-cache/``, ``__pycache__``), VCS, and build
-    directories are pruned; the result is sorted after normalization so
-    the order never depends on filesystem enumeration order.
+    Cache (``__pycache__``), VCS, and build directories are pruned; the
+    result is sorted after normalization so the order never depends on
+    filesystem enumeration order.
     """
     files: List[str] = []
     for path in paths:
@@ -121,40 +82,6 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
     return sorted(set(f.replace("\\", "/") for f in files))
 
 
-def _scan_one(path: str) -> _FileScan:
-    """Parse one file and run every per-file hook (worker side)."""
-    from .core import FileContext  # local import keeps the worker light
-    from .project import collect_module_info
-
-    result = _FileScan(path=path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        tree = ast.parse(source, filename=path)
-    except (OSError, SyntaxError, ValueError) as exc:
-        lineno = getattr(exc, "lineno", 1) or 1
-        result.findings.append(
-            Finding(
-                path=path,
-                line=lineno,
-                col=1,
-                code=PARSE_ERROR_CODE,
-                message=f"cannot parse file: {exc}",
-            )
-        )
-        return result
-    ctx = FileContext(path, source, tree)
-    result.suppress_lines = dict(ctx.suppressions.by_line)
-    result.suppress_file = ctx.suppressions.file_wide
-    result.module_info = collect_module_info(ctx)
-    for rule in all_rules():
-        result.findings.extend(rule.check_file(ctx))
-        fact = rule.collect(ctx)
-        if fact is not None:
-            result.facts[rule.code] = fact
-    return result
-
-
 class _SuppressionLedger:
     """Suppression state for every file plus usage accounting.
 
@@ -167,13 +94,10 @@ class _SuppressionLedger:
         self._used_lines: Dict[str, Set[int]] = {}
         self._used_file: Dict[str, Set[str]] = {}
 
-    def add_file(self, scan: _FileScan) -> None:
-        self._suppressions[scan.path] = Suppressions(
-            by_line=dict(scan.suppress_lines),
-            file_wide=scan.suppress_file,
-        )
-        self._used_lines[scan.path] = set()
-        self._used_file[scan.path] = set()
+    def add_file(self, path: str, suppressions: Suppressions) -> None:
+        self._suppressions[path] = suppressions
+        self._used_lines[path] = set()
+        self._used_file[path] = set()
 
     def filter(self, findings: Sequence[Finding]) -> List[Finding]:
         """Drop suppressed findings, recording which comments fired."""
@@ -200,191 +124,64 @@ class _SuppressionLedger:
         findings: List[Finding] = []
         for path in sorted(self._suppressions):
             sup = self._suppressions[path]
-            used_lines = self._used_lines[path]
-            used_codes = self._used_file[path]
-            for line in sorted(sup.by_line):
-                if line in used_lines:
-                    continue
+            stale: List[Tuple[int, str]] = []
+            for line in sorted(set(sup.by_line) - self._used_lines[path]):
                 codes = sup.by_line[line]
-                if codes is not None and UNUSED_SUPPRESSION_CODE in codes:
+                if codes is None:
+                    label = "disable"
+                elif UNUSED_SUPPRESSION_CODE in codes:
                     continue
-                label = (
-                    "disable=" + ",".join(sorted(codes))
-                    if codes is not None
-                    else "disable"
+                else:
+                    label = "disable=" + ",".join(sorted(codes))
+                message = (
+                    f"unused suppression '# replint: {label}': no such "
+                    "finding fires on this line; remove the stale waiver"
                 )
-                findings.append(
-                    Finding(
-                        path=path,
-                        line=line,
-                        col=1,
-                        code=UNUSED_SUPPRESSION_CODE,
-                        message=(
-                            f"unused suppression '# replint: {label}': no "
-                            "such finding fires on this line; remove the "
-                            "stale waiver"
-                        ),
-                    )
+                stale.append((line, message))
+            unused_codes = sup.file_wide - self._used_file[path]
+            for code in sorted(unused_codes - {UNUSED_SUPPRESSION_CODE}):
+                message = (
+                    f"unused suppression '# replint: disable-file={code}': "
+                    "the rule never fires in this file; remove the stale "
+                    "waiver"
                 )
-            for code in sorted(sup.file_wide - used_codes):
-                if code == UNUSED_SUPPRESSION_CODE:
-                    continue
-                findings.append(
-                    Finding(
-                        path=path,
-                        line=1,
-                        col=1,
-                        code=UNUSED_SUPPRESSION_CODE,
-                        message=(
-                            f"unused suppression '# replint: disable-file="
-                            f"{code}': the rule never fires in this file; "
-                            "remove the stale waiver"
-                        ),
-                    )
-                )
+                stale.append((1, message))
+            findings.extend(
+                Finding(path, line, 1, UNUSED_SUPPRESSION_CODE, message)
+                for line, message in stale
+            )
         return findings
 
 
-def _affected_paths(
-    changed: Sequence[str],
-    files: Sequence[str],
-    project: ProjectModel,
-) -> Set[str]:
-    """Changed files plus their reverse-import closure, as scan paths.
-
-    Import-graph-aware invalidation: an edit can break a cross-module
-    invariant in any module that (transitively) imports the edited one,
-    so all of them are re-reported; unrelated files are not.
-    """
-    norm = {os.path.abspath(f): f for f in files}
-    changed_scan_paths: Set[str] = set()
-    for path in changed:
-        hit = norm.get(os.path.abspath(path))
-        if hit is not None:
-            changed_scan_paths.add(hit)
-    changed_modules = [
-        project.by_path[p].module
-        for p in sorted(changed_scan_paths)
-        if p in project.by_path and project.by_path[p].module
-    ]
-    affected_modules = project.dependents_closure(changed_modules)
-    affected = set(changed_scan_paths)
-    for module in affected_modules:
-        info = project.by_module.get(module)
-        if info is not None:
-            affected.add(info.path)
-    return affected
-
-
-def run(
-    paths: Sequence[str],
-    n_jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    changed_since: Optional[str] = None,
-    baseline_path: Optional[str] = None,
-    warn_unused_suppressions: bool = True,
-) -> ScanResult:
-    """Lint ``paths`` and return every reportable finding, sorted.
-
-    Args:
-        paths: files or directories to lint.
-        n_jobs: phase-1 worker processes (``None`` → ``REPRO_N_JOBS``).
-        cache_dir: incremental-cache directory (``None`` disables the
-            cache entirely — every file is scanned cold).
-        changed_since: git ref; report only findings in files changed
-            relative to it plus their reverse-import dependents.  The
-            whole tree is still modeled so cross-module rules stay
-            sound.  Raises ``ValueError`` for an unresolvable ref.
-        baseline_path: ratchet file; fingerprinted findings are demoted
-            to :attr:`ScanResult.baselined`.  Raises ``ValueError`` for
-            a malformed file.
-        warn_unused_suppressions: emit REP013 for suppression comments
-            that silenced nothing (on by default, as in CI).
-    """
+def run(paths: Sequence[str]) -> ScanResult:
+    """Lint every ``.py`` file under ``paths`` and return the reportable
+    findings, sorted.  Raises ``FileNotFoundError`` for a missing path."""
     files = iter_python_files(paths)
-
-    # ---- phase 1: per-file scans, cache-accelerated ------------------------
-    cache: Optional[ScanCache] = None
-    signature = ""
-    cached_entries: Dict[str, tuple] = {}
-    if cache_dir is not None:
-        cache = ScanCache(cache_dir)
-        signature = rules_signature()
-        cached_entries = cache.load(signature)
-    fingerprints: Dict[str, Optional[str]] = {
-        path: file_fingerprint(path) for path in files
-    }
-    scans: Dict[str, _FileScan] = {}
-    misses: List[str] = []
-    for path in files:
-        entry = cached_entries.get(path)
-        if (
-            entry is not None
-            and fingerprints[path] is not None
-            and entry[0] == fingerprints[path]
-        ):
-            scans[path] = entry[1]
-        else:
-            misses.append(path)
-    n_cached = len(files) - len(misses)
-    for scan in parallel_map(
-        _scan_one, misses, n_jobs=n_jobs, min_items_per_worker=16
-    ):
-        scans[scan.path] = scan
-    if cache is not None:
-        cache.store(
-            signature,
-            {
-                path: (fingerprints[path], scans[path])
-                for path in files
-                if fingerprints[path] is not None
-            },
-        )
-
-    # ---- suppression filtering + fact/model assembly -----------------------
+    rules = all_rules()
     ledger = _SuppressionLedger()
     findings: List[Finding] = []
-    facts_by_rule: Dict[str, List[Tuple[str, object]]] = {}
     infos: List[ModuleInfo] = []
+
+    # ---- phase 1: per-file rules -------------------------------------------
     for path in files:
-        scan = scans[path]
-        ledger.add_file(scan)
-        findings.extend(ledger.filter(scan.findings))
-        if scan.module_info is not None:
-            infos.append(scan.module_info)
-        for code in sorted(scan.facts):
-            facts_by_rule.setdefault(code, []).append((path, scan.facts[code]))
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.read()
+            ctx = FileContext(path, source, ast.parse(source, filename=path))
+        except (OSError, SyntaxError, ValueError) as exc:
+            line = getattr(exc, "lineno", 1) or 1
+            message = f"cannot parse file: {exc}"
+            findings.append(Finding(path, line, 1, PARSE_ERROR_CODE, message))
+            continue
+        ledger.add_file(path, ctx.suppressions)
+        infos.append(collect_module_info(ctx))
+        for rule in rules:
+            findings.extend(ledger.filter(rule.check_file(ctx)))
 
     # ---- phase 2: whole-program rules --------------------------------------
     project = ProjectModel(infos)
-    for rule in all_rules():
-        findings.extend(ledger.filter(rule.finalize(facts_by_rule.get(rule.code, []))))
+    for rule in rules:
         findings.extend(ledger.filter(rule.check_project(project)))
 
-    if warn_unused_suppressions:
-        findings.extend(ledger.unused())
-
-    # ---- --changed-since: import-graph-aware report filtering --------------
-    n_reported_files: Optional[int] = None
-    if changed_since is not None:
-        changed = changed_files(changed_since)
-        affected = _affected_paths(changed, files, project)
-        findings = [f for f in findings if f.path in affected]
-        n_reported_files = len(affected)
-
-    # ---- --baseline: demote ratcheted findings -----------------------------
-    baselined: List[Finding] = []
-    stale: List[BaselineEntry] = []
-    if baseline_path is not None:
-        findings, baselined, stale = Baseline.load(baseline_path).partition(
-            findings
-        )
-
-    return ScanResult(
-        findings=sorted(findings),
-        n_files=len(files),
-        baselined=sorted(baselined),
-        stale_baseline=stale,
-        n_cached=n_cached,
-        n_reported_files=n_reported_files,
-    )
+    findings.extend(ledger.unused())
+    return ScanResult(findings=sorted(findings), n_files=len(files))

@@ -15,8 +15,6 @@ against the imported registry regardless of the tree under lint.
 from pathlib import Path
 from textwrap import dedent
 
-from repro.analysis import run
-
 from .test_replint import codes, lint, write
 
 
@@ -623,17 +621,3 @@ class TestRep013UnusedSuppressions:
             ''',
         )
         assert codes(lint(tmp_path)) == []
-
-    def test_warning_can_be_disabled(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/power/fine.py",
-            '''
-            __all__ = ["add"]
-            def add(a, b):
-                return a + b  # replint: disable=REP003 -- stale
-            ''',
-        )
-        result = run([str(tmp_path)], n_jobs=1,
-                     warn_unused_suppressions=False)
-        assert result.findings == []

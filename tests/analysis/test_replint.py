@@ -22,7 +22,7 @@ def write(tmp_path: Path, rel: str, text: str) -> Path:
 
 
 def lint(*paths) -> list:
-    return run([str(p) for p in paths], n_jobs=1).findings
+    return run([str(p) for p in paths]).findings
 
 
 def codes(findings) -> list:
@@ -82,6 +82,28 @@ class TestRep001KnobRegistry:
         found = lint(tmp_path)
         assert "REP001" in codes(found)
         assert "REPRO_NOT_DECLARED" in found[0].message
+
+    def test_multiline_call_reports_the_literal_line(self, tmp_path):
+        source = '''
+            from ..util.env import env_int
+            __all__ = ["value"]
+            value = env_int(
+                "REPRO_NOT_DECLARED",{waiver}
+                3,
+            )
+            '''
+        path = write(
+            tmp_path, "src/repro/power/rogue.py", source.format(waiver="")
+        )
+        found = lint(tmp_path)
+        assert codes(found) == ["REP001"]
+        assert (found[0].line, found[0].col) == (5, 5)
+        assert "REPRO_NOT_DECLARED" in found[0].message
+        path.write_text(
+            dedent(source.format(waiver="  # replint: disable=REP001")),
+            encoding="utf-8",
+        )
+        assert codes(lint(tmp_path)) == []
 
     def test_quiet_on_declared_and_test_namespace_knobs(self, tmp_path):
         write(
@@ -766,7 +788,6 @@ class TestIterPythonFiles:
 
         keep = write(tmp_path, "src/repro/ml/real.py", "x = 1\n")
         write(tmp_path, "src/repro/ml/__pycache__/real.cpython-311.py", "")
-        write(tmp_path, ".replint-cache/stale.py", "x = 1\n")
         write(tmp_path, "build/lib/repro/ml/real.py", "x = 1\n")
         write(tmp_path, ".git/hooks/hook.py", "x = 1\n")
         write(tmp_path, ".pytest_cache/v/cache.py", "x = 1\n")
@@ -804,12 +825,10 @@ class TestRunnerAndCli:
             "src/repro/ml/messy.py",
             '__all__ = ["b", "a"]\na = 1\nb = 2\n',
         )
-        rc = main(
-            [str(tmp_path), "--format", "json", "--jobs", "1", "--no-cache"]
-        )
+        rc = main([str(tmp_path), "--format", "json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         found = payload["findings"]
         assert [f["code"] for f in found] == ["REP005", "REP005"]
         assert found == sorted(found, key=lambda f: (f["path"], f["line"]))
@@ -820,7 +839,7 @@ class TestRunnerAndCli:
             "src/repro/ml/clean.py",
             '__all__ = ["a"]\na = 1\n',
         )
-        assert main([str(tmp_path), "--jobs", "1", "--no-cache"]) == 0
+        assert main([str(tmp_path)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_cli_missing_path_exit_two(self, tmp_path, capsys):
@@ -837,19 +856,23 @@ class TestRunnerAndCli:
             assert code in out
 
     def test_check_docs_flags_drift(self, tmp_path, capsys):
+        clean = write(
+            tmp_path, "src/repro/ml/clean.py", '__all__ = ["a"]\na = 1\n'
+        )
         readme = tmp_path / "README.md"
         readme.write_text(
             "# x\n<!-- replint:knob-table -->\nstale\n"
             "<!-- /replint:knob-table -->\n",
             encoding="utf-8",
         )
-        rc = main(
-            ["--check-docs", "--no-lint", "--readme", str(readme)]
-        )
+        rc = main(["--check-docs", "--readme", str(readme), str(clean)])
         assert rc == 1
         assert "out of sync" in capsys.readouterr().err
 
     def test_fix_docs_then_check_passes(self, tmp_path, capsys):
+        clean = write(
+            tmp_path, "src/repro/ml/clean.py", '__all__ = ["a"]\na = 1\n'
+        )
         readme = tmp_path / "README.md"
         readme.write_text(
             "# x\n<!-- replint:knob-table -->\nstale\n"
@@ -858,7 +881,7 @@ class TestRunnerAndCli:
         )
         assert main(["--fix-docs", "--readme", str(readme)]) == 0
         assert (
-            main(["--check-docs", "--no-lint", "--readme", str(readme)]) == 0
+            main(["--check-docs", "--readme", str(readme), str(clean)]) == 0
         )
         text = readme.read_text(encoding="utf-8")
         assert "REPRO_FAULT_SCREEN" in text

@@ -6,9 +6,10 @@ Usage::
         --benchmark-json=/tmp/bench_raw.json -q
     python benchmarks/export_throughput.py /tmp/bench_raw.json [--check]
 
-The emitted file records, per benchmark, the mean/min wall time of this
-run next to its baseline, so every future PR has a perf trajectory to
-compare against.  Baselines have a provenance, recorded as
+The emitted file is a snapshot: per benchmark, the mean/min wall time
+of the run that wrote it, next to its baseline.  It holds one run, not
+a history; the committed copy is only as current as its last
+regeneration.  Baselines have a provenance, recorded as
 ``seed_source``:
 
 * ``"frozen"`` — measured on the reference machine before the matching
@@ -35,12 +36,8 @@ flap.
 
 Every export also appends a ``bench.throughput`` record (the per-bench
 means) to the run ledger (:mod:`repro.obs.ledger`), building the history
-behind ``python -m repro.obs diff``.  With ``--ledger-gate``, this run
-is additionally diffed against the most recent *prior* ``bench.throughput``
-ledger record and exits non-zero when any benchmark regressed beyond
-``REPRO_LEDGER_DIFF_PCT`` — a same-ledger (usually same-machine) check
-that complements the frozen-seed gate.  The gate passes vacuously when
-the ledger has no prior record (fresh checkout).
+behind ``python -m repro.obs diff``: compare two exports on one machine
+with ``python -m repro.obs diff last~1 last``.
 """
 
 from __future__ import annotations
@@ -206,37 +203,8 @@ def record_to_ledger(document: dict) -> Optional[dict]:
     )
 
 
-def ledger_gate(record: Optional[dict]) -> List[str]:
-    """Failures from diffing this export against the prior ledger bench.
-
-    Vacuously passes when the ledger is disabled, has no prior
-    ``bench.throughput`` record, or nothing regressed beyond
-    ``REPRO_LEDGER_DIFF_PCT``.
-    """
-    if record is None:
-        return []
-    from repro.obs import ledger
-
-    history = [
-        r
-        for r in ledger.read_ledger()
-        if r.get("entry") == "bench.throughput"
-        and r.get("run_id") != record.get("run_id")
-    ]
-    if not history:
-        return []
-    result = ledger.diff_runs(history[-1], record)
-    return [
-        f"{row['name']}: {row['old']} -> {row['new']} ms "
-        f"({row['pct']:+.1f}% vs run {result['old_run']}, "
-        f"threshold {result['threshold_pct']}%)"
-        for row in result["regressions"]
-    ]
-
-
 if __name__ == "__main__":
-    flags = {"--check", "--ledger-gate"}
-    args = [a for a in sys.argv[1:] if a not in flags]
+    args = [a for a in sys.argv[1:] if a != "--check"]
     if len(args) != 1:
         sys.exit(__doc__)
     doc = export(args[0])
@@ -245,17 +213,9 @@ if __name__ == "__main__":
         if row.get("speedup_vs_reference"):
             parts.append(f"{row['speedup_vs_reference']}x vs reference")
         print(f"{name}: {row['mean_ms']} ms  ({', '.join(parts)})")
-    ledger_record = record_to_ledger(doc)
-    failed = []
+    record_to_ledger(doc)
     if "--check" in sys.argv[1:]:
-        failed.extend(check(doc))
-    if "--ledger-gate" in sys.argv[1:]:
-        ledger_failures = ledger_gate(ledger_record)
-        if ledger_failures:
-            failed.extend(ledger_failures)
-        else:
-            print("ledger gate: no regression vs prior bench.throughput run")
-    if "--check" in sys.argv[1:] or "--ledger-gate" in sys.argv[1:]:
+        failed = check(doc)
         if failed:
             print("FAIL: " + "; ".join(failed))
             sys.exit(1)

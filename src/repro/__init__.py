@@ -11,8 +11,7 @@ including every substrate the paper depends on:
   pipeline event stream;
 * :mod:`repro.power` -- microarchitectural power model, device/program/
   session variation, oscilloscope model and the acquisition framework;
-* :mod:`repro.dsp` -- batched continuous wavelet transform and trace
-  preprocessing;
+* :mod:`repro.dsp` -- batched continuous wavelet transform;
 * :mod:`repro.features` -- KL-divergence DNVP feature selection and PCA;
 * :mod:`repro.ml` -- LDA/QDA/SVM/naive-Bayes/kNN/HMM, all from scratch;
 * :mod:`repro.core` -- the paper's contribution: the three-level

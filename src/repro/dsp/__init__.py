@@ -1,23 +1,12 @@
-"""Signal processing: continuous wavelet transform and preprocessing."""
+"""Signal processing: the continuous wavelet transform and its FFT backend."""
 
 from . import backend
-from .cwt import CWT, CwtConfig, clear_cwt_cache, cwt_magnitude, get_cwt
-from .preprocess import (
-    align_traces,
-    remove_dc,
-    standardize_features,
-    standardize_traces,
-)
+from .cwt import CWT, CwtConfig, clear_cwt_cache, get_cwt
 
 __all__ = [
     "CWT",
     "CwtConfig",
-    "align_traces",
     "backend",
     "clear_cwt_cache",
-    "cwt_magnitude",
     "get_cwt",
-    "remove_dc",
-    "standardize_features",
-    "standardize_traces",
 ]

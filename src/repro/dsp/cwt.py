@@ -77,7 +77,6 @@ __all__ = [
     "CWT",
     "CwtConfig",
     "clear_cwt_cache",
-    "cwt_magnitude",
     "get_cwt",
 ]
 
@@ -549,8 +548,8 @@ def get_cwt(n_samples: int, config: Optional[CwtConfig] = None) -> CWT:
     """Shared CWT operator for ``(n_samples, config)``.
 
     Building an operator means materializing per-scale response matrices
-    and GEMM bases; the feature pipeline, :func:`cwt_magnitude` and the
-    experiment runners all transform same-geometry traces over and over,
+    and GEMM bases; the feature pipeline and the experiment runners
+    all transform same-geometry traces over and over,
     so operators are cached (LRU, 16 entries).  Treat the returned
     operator as read-only — it is shared.
     """
@@ -574,11 +573,3 @@ def clear_cwt_cache() -> None:
     """Drop all cached operators (frees their precomputed matrices)."""
     _cached_operator.cache_clear()
 
-
-def cwt_magnitude(
-    traces: np.ndarray, config: Optional[CwtConfig] = None
-) -> np.ndarray:
-    """One-shot CWT magnitude for convenience (cached operator)."""
-    batch = np.atleast_2d(traces)
-    operator = get_cwt(batch.shape[-1], config)
-    return operator.transform(traces)

@@ -141,15 +141,6 @@ def main(argv=None) -> int:
         "REPRO_OBS=1) and write the JSONL trace here; render it with "
         "'python -m repro.obs report PATH'",
     )
-    parser.add_argument(
-        "--live",
-        default=None,
-        metavar="DIR",
-        help="write live status (status.json, metrics.jsonl, worker "
-        "heartbeats) to DIR while running; watch with "
-        "'python -m repro.obs tail DIR' "
-        "(default: the REPRO_OBS_LIVE_DIR knob)",
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -163,16 +154,10 @@ def main(argv=None) -> int:
     if unknown:
         log.error(f"unknown experiment(s): {unknown}; try 'list'")
         return 2
-    live_dir = obs.live.resolve_live_dir(args.live)
-    if live_dir is not None:
-        obs.start_live(live_dir)
     if args.trace is not None:
         obs.activate()
     run_started = time.time()  # replint: disable=REP003 -- run duration is ledger bookkeeping, not result data
-    obs.update_progress(
-        phase="experiments", unit="experiments", total=len(names), done=0
-    )
-    for index, name in enumerate(names):
+    for name in names:
         runner, _ = RUNNERS[name]
         started = time.time()  # replint: disable=REP003 -- progress display
         with obs.span(f"experiment.{name}", scale=args.scale):  # replint: disable=REP014 -- names are the fixed RUNNERS keys, a bounded literal set
@@ -192,10 +177,8 @@ def main(argv=None) -> int:
         if obs.enabled():
             _attach_obs_meta(result, obs.summarize(obs.active_collector()))
         _print_result(result)
-        obs.update_progress(done=index + 1)
         elapsed = time.time() - started  # replint: disable=REP003 -- progress display
         log.info(f"{name} completed in {elapsed:.1f} s")
-    obs.stop_live()
     summary = obs.maybe_export(args.trace)
     if summary is not None and args.trace is not None:
         log.info(

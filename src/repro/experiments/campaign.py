@@ -29,27 +29,23 @@ runs such grids to completion anyway:
   :class:`~repro.experiments.results.ResultTable` and the Pareto report
   (accuracy vs capture cost vs inference cost) are produced from
   whatever completed, with explicit coverage accounting of completed /
-  quarantined / skipped cells, plus a recommended-config artifact;
-* **chaos self-test** — :func:`selftest` drives injected worker
-  crashes, hangs and errors (plus :mod:`repro.power.faults` through the
-  ``fault_rate`` axis) through the engine to prove the guarantees hold.
+  quarantined / skipped cells, plus a recommended-config artifact.
 
 Determinism contract: a cell's *outcome* (its metrics, or the decision
 to quarantine it and the recorded error) is a pure function of the grid
-spec, the campaign seed and the chaos seed — never of worker count,
-timing, or how many times the driver was killed and resumed.  That is
-what makes shard checkpoints composable: replaying a shard from disk is
-indistinguishable from recomputing it.
+spec and the campaign seed — never of worker count, timing, or how many
+times the run was killed and resumed.  That is what makes shard
+checkpoints composable: replaying a shard from disk is indistinguishable
+from recomputing it.
 
 Knobs: ``REPRO_CAMPAIGN_SHARD_SIZE``, ``REPRO_CAMPAIGN_RETRIES``,
-``REPRO_CAMPAIGN_BACKOFF``, ``REPRO_CAMPAIGN_CELL_TIMEOUT``,
-``REPRO_CAMPAIGN_CHAOS`` (see README knob table).
+``REPRO_CAMPAIGN_BACKOFF``; the per-shard stall bound falls back to
+``REPRO_TASK_TIMEOUT`` (see README knob table).
 
 CLI::
 
     python -m repro.experiments.campaign --scale smoke \\
         --checkpoint-dir /tmp/camp --report campaign_report.json
-    python -m repro.experiments.campaign --selftest
 """
 
 from __future__ import annotations
@@ -57,8 +53,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -75,7 +69,6 @@ from typing import (
 )
 
 from ..obs import ledger as _ledger
-from ..obs import live as _live
 from ..obs import log as _log
 from ..obs import trace as _obs
 from ..util.io import atomic_write_json
@@ -91,8 +84,6 @@ __all__ = [
     "Cell",
     "CellResult",
     "CellRunner",
-    "ChaosConfig",
-    "ChaosError",
     "EVALUATORS",
     "GridSpec",
     "default_grid",
@@ -100,7 +91,6 @@ __all__ = [
     "pareto_front",
     "run",
     "run_campaign",
-    "selftest",
 ]
 
 #: Metric keys every evaluator must return (the Pareto dimensions).
@@ -244,65 +234,6 @@ class CellResult:
 
 
 # ---------------------------------------------------------------------------
-# Chaos layer (self-test): deterministic crashes, hangs, errors
-# ---------------------------------------------------------------------------
-
-
-class ChaosError(RuntimeError):
-    """Deterministic injected cell failure (the chaos 'error' mode)."""
-
-
-#: Disruption flavors, in draw order.  ``crash`` kills the worker
-#: process outright, ``hang`` stalls it (then kills it, so the outcome
-#: is bounded and deterministic even without a stall timeout), and
-#: ``error`` raises :class:`ChaosError` inside the cell.
-CHAOS_MODES = ("error", "crash", "hang")
-
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Chaos-injection parameters (rate 0 disables the layer).
-
-    Disruption is a pure function of ``(seed, cell_id, attempt)``: the
-    same cell fails the same way at the same attempt in every run, which
-    keeps quarantine decisions — and therefore the merged table —
-    bit-identical across kill/resume cycles.
-    """
-
-    rate: float = 0.0
-    seed: int = 0
-    hang_seconds: float = 10.0
-
-    def disrupt(self, cell_id: str, attempt: int) -> None:
-        """Maybe disrupt this ``(cell, attempt)``; returns if spared.
-
-        Process-killing modes only fire on *worker* processes; on the
-        driver (serial salvage path) they degrade to :class:`ChaosError`
-        so chaos can never take down — or indefinitely hang — the
-        campaign itself.
-        """
-        if self.rate <= 0.0:
-            return
-        draw = uniform01(self.seed, f"chaos|{cell_id}|{attempt}")
-        if draw >= self.rate:
-            return
-        mode = CHAOS_MODES[int(draw / self.rate * len(CHAOS_MODES)) % 3]
-        in_worker = multiprocessing.parent_process() is not None
-        if mode == "error" or not in_worker:
-            raise ChaosError(
-                f"chaos {mode} injected (cell {cell_id}, attempt {attempt})"
-            )
-        if mode == "crash":
-            os._exit(17)
-        # hang: stall the pool, then die without delivering a result.
-        # Sleeping forever would couple the outcome to the stall
-        # timeout; sleeping-then-dying keeps the failure deterministic
-        # and the wall-clock bounded either way.
-        time.sleep(self.hang_seconds)
-        os._exit(18)
-
-
-# ---------------------------------------------------------------------------
 # Evaluators: params -> {accuracy, capture_cost, inference_cost}
 # ---------------------------------------------------------------------------
 
@@ -315,7 +246,7 @@ def _cell_seed(seed: int, cell_id: str) -> int:
 def evaluate_synthetic(cell: Cell, seed: int) -> Dict[str, float]:
     """Closed-form response surface mimicking the collection-factor story.
 
-    Fast and dependency-free: used by the chaos self-test, CI smoke and
+    Fast and dependency-free: used by CI smoke, the engine tests and
     the scheduling benchmarks, where the engine — not the science — is
     under test.  The surface is shaped so the Pareto front is
     non-trivial: faster scopes (low ``decimation``) buy accuracy at
@@ -451,20 +382,15 @@ EVALUATORS: Dict[str, Callable[[Cell, int], Dict[str, float]]] = {
 class CellRunner:
     """Picklable per-cell work function handed to ``parallel_map``.
 
-    One call = one attempt at one cell.  Every in-cell exception —
-    including chaos ``error`` mode and chaos process-kill modes degraded
-    on the driver — is caught and returned as an ``"error"`` outcome, so
-    the serial salvage pass can never blow up the shard: the only
-    failures that escape a call are worker-process deaths, which
-    ``parallel_map`` already contains.
+    One call = one attempt at one cell.  Every in-cell exception is
+    caught and returned as an ``"error"`` outcome, so the serial salvage
+    pass can never blow up the shard: the only failures that escape a
+    call are worker-process deaths, which ``parallel_map`` already
+    contains.
     """
 
     def __init__(
-        self,
-        evaluator: str,
-        seed: int,
-        chaos: ChaosConfig,
-        cell_pause_s: float = 0.0,
+        self, evaluator: str, seed: int, cell_pause_s: float = 0.0
     ) -> None:
         if evaluator not in EVALUATORS:
             raise KeyError(
@@ -473,7 +399,6 @@ class CellRunner:
             )
         self.evaluator = evaluator
         self.seed = seed
-        self.chaos = chaos
         #: Artificial per-cell pause (seconds) — pacing for the kill/
         #: resume tests and scheduling benchmarks; never affects results.
         self.cell_pause_s = cell_pause_s
@@ -482,7 +407,6 @@ class CellRunner:
         cell, attempt = work
         with _obs.span("campaign.cell", cell=cell.cell_id, attempt=attempt):
             try:
-                self.chaos.disrupt(cell.cell_id, attempt)
                 if self.cell_pause_s > 0.0:
                     time.sleep(self.cell_pause_s)
                 metrics = EVALUATORS[self.evaluator](cell, self.seed)
@@ -522,21 +446,19 @@ class CampaignConfig:
     Attributes:
         spec: the grid to sweep.
         evaluator: key into :data:`EVALUATORS`.
-        seed: campaign seed — feeds cell seeds, backoff jitter and the
-            chaos draw, so distinct campaigns decorrelate while one
-            campaign replays exactly.
+        seed: campaign seed — feeds cell seeds and backoff jitter, so
+            distinct campaigns decorrelate while one campaign replays
+            exactly.
         shard_size: cells per checkpoint shard
             (``REPRO_CAMPAIGN_SHARD_SIZE``).
         n_jobs: worker processes per shard (``REPRO_N_JOBS`` rules).
-        cell_timeout: stall bound per shard round, seconds
-            (``REPRO_CAMPAIGN_CELL_TIMEOUT``; 0 = off).
+        cell_timeout: stall bound per shard round, seconds, passed to
+            ``parallel_map(timeout=)`` (``None`` = ``REPRO_TASK_TIMEOUT``;
+            0 = off).
         retries: per-cell retry rounds before quarantine
             (``REPRO_CAMPAIGN_RETRIES``).
         backoff: base backoff between retry rounds, seconds
             (``REPRO_CAMPAIGN_BACKOFF``).
-        chaos_rate: chaos disruption probability
-            (``REPRO_CAMPAIGN_CHAOS``).
-        chaos_hang_seconds: how long a chaos ``hang`` stalls its worker.
         cell_pause_s: artificial per-cell pause (test/bench pacing).
         checkpoint_dir: shard checkpoint directory (``None`` = off).
         stop_after_shards: stop after computing this many *fresh* shards
@@ -553,8 +475,6 @@ class CampaignConfig:
     cell_timeout: Optional[float] = None
     retries: Optional[int] = None
     backoff: Optional[float] = None
-    chaos_rate: Optional[float] = None
-    chaos_hang_seconds: float = 10.0
     cell_pause_s: float = 0.0
     checkpoint_dir: Optional[Union[str, Path]] = None
     stop_after_shards: Optional[int] = None
@@ -576,7 +496,7 @@ def _run_shard(
     runner: CellRunner,
     policy: BackoffPolicy,
     n_jobs: Optional[int],
-    cell_timeout: float,
+    cell_timeout: Optional[float],
     pool_context: Dict[str, str],
 ) -> List[CellResult]:
     """Run one shard's cells through the retry funnel; always returns.
@@ -657,16 +577,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         if config.backoff is not None
         else get_float("REPRO_CAMPAIGN_BACKOFF")
     )
-    cell_timeout = (
-        config.cell_timeout
-        if config.cell_timeout is not None
-        else get_float("REPRO_CAMPAIGN_CELL_TIMEOUT")
-    )
-    chaos_rate = (
-        config.chaos_rate
-        if config.chaos_rate is not None
-        else get_float("REPRO_CAMPAIGN_CHAOS")
-    )
 
     cells, n_excluded = config.spec.enumerate()
     shards = [
@@ -680,21 +590,13 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         seed=config.seed,
         sleep=config.sleep,
     )
-    chaos = ChaosConfig(
-        rate=chaos_rate,
-        seed=config.seed,
-        hang_seconds=config.chaos_hang_seconds,
-    )
-    runner = CellRunner(
-        config.evaluator, config.seed, chaos, config.cell_pause_s
-    )
+    runner = CellRunner(config.evaluator, config.seed, config.cell_pause_s)
     store = checkpoint_store(
         config.checkpoint_dir,
         experiment="campaign",
         grid=config.spec.fingerprint(),
         evaluator=config.evaluator,
         seed=config.seed,
-        chaos=chaos_rate,
         retries=retries,
         shard_size=shard_size,
     )
@@ -705,10 +607,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     n_fresh = 0
     n_resumed = 0
     _obs.gauge("campaign.cells_total").set(float(len(cells)))
-    _live.update_progress(
-        phase="campaign", unit="cells", total=len(cells), done=0,
-        quarantined=0, retries=0,
-    )
     with _obs.span(
         "campaign.run",
         n_cells=len(cells),
@@ -739,7 +637,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                         runner,
                         policy,
                         config.n_jobs,
-                        cell_timeout,
+                        config.cell_timeout,
                         pool_context,
                     ),
                 )
@@ -751,13 +649,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 n_fresh += 1
                 _obs.counter("campaign.shards_run").inc()
             done = sum(len(s) for s in shards[: index + 1])
-            _live.update_progress(
-                done=done,
-                quarantined=sum(
-                    1 for r in results if r.status == "quarantined"
-                ),
-                retries=sum(max(0, r.attempts - 1) for r in results),
-            )
             _log.info(
                 f"campaign: shard {index + 1}/{len(shards)} "
                 f"{'resumed' if cached else 'done'} "
@@ -769,7 +660,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     report = _build_report(
         config,
         shard_size=shard_size,
-        chaos_rate=chaos_rate,
         n_excluded=n_excluded,
         n_cells=len(cells),
         n_shards=len(shards),
@@ -880,7 +770,6 @@ def _build_report(
     config: CampaignConfig,
     *,
     shard_size: int,
-    chaos_rate: float,
     n_excluded: int,
     n_cells: int,
     n_shards: int,
@@ -932,7 +821,6 @@ def _build_report(
             "shard_size": shard_size,
             "n_shards": n_shards,
             "n_shards_resumed": n_resumed,
-            "chaos_rate": chaos_rate,
         },
         "grid": {
             "axes": {name: list(values) for name, values in config.spec.axes},
@@ -957,7 +845,7 @@ def _build_report(
 
 
 # ---------------------------------------------------------------------------
-# Default grids, runner-registry entry, chaos self-test, CLI
+# Default grids, runner-registry entry, CLI
 # ---------------------------------------------------------------------------
 
 
@@ -1031,94 +919,6 @@ def run(scale="bench", checkpoint_dir=None) -> ResultTable:
     return result.table
 
 
-def selftest() -> int:
-    """Chaos self-test: prove the engine's fault-tolerance guarantees.
-
-    Phase 1 runs the smoke grid with a hostile chaos layer (15 %
-    disruption: worker crashes, hangs, in-cell errors) on a real pool
-    and asserts the run terminates with every cell accounted for —
-    completed or quarantined-with-context, nothing lost, nothing hung.
-    Phase 2 runs two real-evaluator cells at a 15 % capture-fault rate
-    to prove the :mod:`repro.power.faults` path end to end.  Returns a
-    process exit code (0 = all guarantees held).
-    """
-    failures: List[str] = []
-
-    spec = default_grid("smoke")
-    result = run_campaign(
-        CampaignConfig(
-            spec=spec,
-            evaluator="synthetic",
-            chaos_rate=0.15,
-            chaos_hang_seconds=2.0,
-            n_jobs=2,
-            cell_timeout=10.0,
-            retries=1,
-        )
-    )
-    coverage = result.report["coverage"]
-    if not coverage["accounted"]:  # type: ignore[index]
-        failures.append(f"cells unaccounted for: {coverage}")
-    if coverage["n_skipped"]:  # type: ignore[index]
-        failures.append(f"unexpected skipped cells: {coverage}")
-    for entry in result.report["quarantined"]:  # type: ignore[union-attr]
-        if not entry["error"]:  # type: ignore[index]
-            failures.append(
-                f"quarantined cell {entry['cell_id']} has no error context"  # type: ignore[index]
-            )
-    _log.info(
-        f"selftest phase 1: {coverage['n_completed']} completed, "  # type: ignore[index]
-        f"{coverage['n_quarantined']} quarantined, all accounted"  # type: ignore[index]
-    )
-
-    # Phase 1b: zero retries at a higher rate must actually quarantine
-    # (with seed 2018 the draw is fixed), and every quarantined cell
-    # must carry its deterministic error context.
-    hostile = run_campaign(
-        CampaignConfig(
-            spec=spec,
-            evaluator="synthetic",
-            chaos_rate=0.3,
-            chaos_hang_seconds=2.0,
-            n_jobs=2,
-            cell_timeout=10.0,
-            retries=0,
-        )
-    )
-    hostile_cov = hostile.report["coverage"]
-    if not hostile_cov["n_quarantined"]:  # type: ignore[index]
-        failures.append(
-            f"retry-free hostile run quarantined nothing: {hostile_cov}"
-        )
-    if not hostile_cov["accounted"]:  # type: ignore[index]
-        failures.append(f"hostile run lost cells: {hostile_cov}")
-    if any(
-        not entry["error"]  # type: ignore[index]
-        for entry in hostile.report["quarantined"]  # type: ignore[union-attr]
-    ):
-        failures.append("hostile run quarantined a cell without context")
-    _log.info(
-        f"selftest phase 1b: {hostile_cov['n_quarantined']} quarantined "  # type: ignore[index]
-        "with context under retry-free chaos"
-    )
-
-    fault_spec = GridSpec.from_axes(
-        {"decimation": (1,), "omega0": (8.0,),
-         "kl_threshold": ("auto:0.9",), "fault_rate": (0.0, 0.15)}
-    )
-    fault_result = run_campaign(
-        CampaignConfig(spec=fault_spec, evaluator="bench")
-    )
-    fault_cov = fault_result.report["coverage"]
-    if not fault_cov["complete"]:  # type: ignore[index]
-        failures.append(f"fault-rate grid did not complete: {fault_cov}")
-    _log.info("selftest phase 2: fault-injected bench cells completed")
-
-    for failure in failures:
-        _log.error(f"selftest FAILED: {failure}")
-    return 1 if failures else 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI driver: ``python -m repro.experiments.campaign``."""
     parser = argparse.ArgumentParser(
@@ -1158,15 +958,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--cell-timeout", type=float, default=None,
         help="per-shard stall bound in seconds "
-        "(default REPRO_CAMPAIGN_CELL_TIMEOUT; 0 = off)",
-    )
-    parser.add_argument(
-        "--chaos", type=float, default=None, metavar="RATE",
-        help="chaos disruption probability (default REPRO_CAMPAIGN_CHAOS)",
-    )
-    parser.add_argument(
-        "--chaos-hang", type=float, default=10.0, metavar="SECONDS",
-        help="stall duration of a chaos hang (default: 10)",
+        "(default REPRO_TASK_TIMEOUT; 0 = off)",
     )
     parser.add_argument(
         "--cell-pause-ms", type=float, default=0.0,
@@ -1195,39 +987,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--trace", default=None, metavar="PATH",
         help="activate observability and write the JSONL trace here",
     )
-    parser.add_argument(
-        "--live", default=None, metavar="DIR",
-        help="write live status (status.json, metrics.jsonl, worker "
-        "heartbeats) to DIR while running; watch with "
-        "'python -m repro.obs tail DIR' "
-        "(default: the REPRO_OBS_LIVE_DIR knob)",
-    )
-    parser.add_argument(
-        "--selftest", action="store_true",
-        help="run the chaos self-test (crash/hang/error + fault "
-        "injection) and exit nonzero if any guarantee is violated",
-    )
     args = parser.parse_args(argv)
 
     from .. import obs
 
-    live_dir = _live.resolve_live_dir(args.live)
-    if live_dir is not None:
-        _live.start_live(live_dir)
     if args.trace is not None:
         obs.activate()
     t_start = _obs.now_ms()
-    if args.selftest:
-        code = selftest()
-        _live.stop_live()
-        obs.maybe_export(args.trace)
-        _ledger.record_run(
-            "campaign.selftest",
-            status="ok" if code == 0 else "failed",
-            duration_s=(_obs.now_ms() - t_start) / 1e3,
-        )
-        return code
-
     evaluator = args.evaluator
     if evaluator is None:
         evaluator = "synthetic" if args.scale == "smoke" else "bench"
@@ -1240,12 +1006,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cell_timeout=args.cell_timeout,
         retries=args.retries,
         backoff=args.backoff,
-        chaos_rate=args.chaos,
-        chaos_hang_seconds=args.chaos_hang,
         cell_pause_s=args.cell_pause_ms / 1e3,
         checkpoint_dir=args.checkpoint_dir,
         stop_after_shards=args.stop_after_shards,
-        sleep=time.sleep if (args.backoff or 0) > 0 else None,
+        sleep=time.sleep,
     )
     result = run_campaign(config)
     print(result.table.render())  # replint: disable=REP008 -- CLI data output: stdout carries the merged table
@@ -1262,7 +1026,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.report is not None:
         atomic_write_json(args.report, result.report)
         _log.info(f"campaign report written to {args.report}")
-    _live.stop_live()
     obs.maybe_export(args.trace)
     _ledger.record_run(
         "campaign",

@@ -1,4 +1,4 @@
-"""Chaos study: disassembly accuracy under injected capture faults.
+"""Fault study: disassembly accuracy under injected capture faults.
 
 The paper's pipeline (and this reproduction's other experiments) profile
 and deploy on pristine captures.  Real campaigns are not pristine — see

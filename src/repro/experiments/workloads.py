@@ -1,14 +1,14 @@
 """Workload construction shared by the experiment runners.
 
 Everything that turns a :class:`~repro.experiments.scales.Scale` into
-captured trace sets lives here: group-level pools, per-group instruction
-sets, register profiling sets, and the golden firmware used by the malware
-case study.
+captured trace sets lives here: group-level pools and samplers, per-group
+instruction classes, and the golden firmware used by the malware case
+study.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -21,9 +21,7 @@ __all__ = [
     "GroupSampler",
     "MASKED_AES_SNIPPET",
     "TAMPERED_AES_SNIPPET",
-    "capture_group_instruction_set",
     "capture_group_set",
-    "capture_register_sets",
     "group_classes",
     "group_pool",
 ]
@@ -85,34 +83,6 @@ def capture_group_set(
         device=acq.device.name,
         meta={"kind": "groups"},
     )
-
-
-def capture_group_instruction_set(
-    acq: Acquisition,
-    group: int,
-    n_per_class: int,
-    n_programs: int,
-    scale: Optional[Scale] = None,
-) -> TraceSet:
-    """Level-2 training data for one group."""
-    keys = (
-        group_classes(group, scale)
-        if scale is not None
-        else classification_classes(group)
-    )
-    return acq.capture_instruction_set(keys, n_per_class, n_programs)
-
-
-def capture_register_sets(
-    acq: Acquisition,
-    registers: Sequence[int],
-    n_per_class: int,
-    n_programs: int,
-) -> Tuple[TraceSet, TraceSet]:
-    """Level-3 training data: (Rd set, Rr set)."""
-    rd = acq.capture_register_set("Rd", registers, n_per_class, n_programs)
-    rr = acq.capture_register_set("Rr", registers, n_per_class, n_programs)
-    return rd, rr
 
 
 #: §5.7's case study: first-order-masked AES key whitening.  r16 holds a

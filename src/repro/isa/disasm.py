@@ -23,7 +23,7 @@ the tables to it on every first word.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -264,11 +264,3 @@ def disassemble_text(words: Sequence[int], prefer_aliases: bool = True) -> str:
     """Disassemble to newline-joined assembly text."""
     return "\n".join(i.text() for i in disassemble(words, prefer_aliases))
 
-
-def iter_decode(words: Sequence[int]) -> Iterator[Tuple[int, Instruction]]:
-    """Yield ``(word_address, instruction)`` pairs."""
-    index = 0
-    while index < len(words):
-        instruction, used = decode_one(words[index:index + 2])
-        yield index, instruction
-        index += used

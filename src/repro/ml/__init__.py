@@ -7,7 +7,6 @@ from .knn import KNeighborsClassifier
 from .metrics import (
     accuracy_score,
     classification_report,
-    confusion_matrix,
     per_class_recall,
 )
 from .model_selection import GridSearch, cross_val_score, kfold_indices
@@ -29,7 +28,6 @@ __all__ = [
     "SVC",
     "accuracy_score",
     "classification_report",
-    "confusion_matrix",
     "cross_val_score",
     "kfold_indices",
     "linear_kernel",

@@ -1,4 +1,4 @@
-"""Classification metrics: SR (accuracy), confusion matrices, reports."""
+"""Classification metrics: SR (accuracy), per-class recall, reports."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import numpy as np
 __all__ = [
     "accuracy_score",
     "classification_report",
-    "confusion_matrix",
     "per_class_recall",
 ]
 
@@ -21,19 +20,6 @@ def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if len(y_true) == 0:
         raise ValueError("empty label arrays")
     return float(np.mean(y_true == y_pred))
-
-
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, n_classes: Optional[int] = None
-) -> np.ndarray:
-    """Counts matrix ``M[i, j]`` = true class i predicted as j."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(max(y_true.max(), y_pred.max())) + 1
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(matrix, (y_true, y_pred), 1)
-    return matrix
 
 
 def per_class_recall(y_true: np.ndarray, y_pred: np.ndarray) -> Dict[int, float]:

@@ -15,24 +15,18 @@ singletons, one attribute check) when disabled:
   ``python -m repro.obs report`` aggregation CLI.
 
 Plus :mod:`repro.obs.log`, the level-gated stderr logger that replaces
-bare ``print()`` (enforced by replint rule REP008), and two layers for
-*running* and *finished* runs:
-
-* **live** (:mod:`repro.obs.live`) — a background flusher that snapshots
-  status (progress, ETA, open spans, worker heartbeats) to a directory
-  while a campaign runs; ``python -m repro.obs tail DIR`` watches it;
-* **ledger** (:mod:`repro.obs.ledger`) — an append-only history of every
-  entrypoint run (git rev, knobs, duration, metrics, bench numbers);
-  ``python -m repro.obs runs`` lists it and ``... diff A B`` flags
-  cross-run perf regressions.
+bare ``print()`` (enforced by replint rule REP008), and the run
+**ledger** (:mod:`repro.obs.ledger`) — an append-only history of every
+entrypoint run (git rev, knobs, duration, metrics, bench numbers);
+``python -m repro.obs runs`` lists it and ``... diff A B`` flags
+cross-run perf regressions.
 
 See DESIGN.md §12 for architecture and the span naming convention, and
-§16 for the live/ledger file formats.
+§16 for the ledger file format.
 """
 
-from . import ledger, live, log
+from . import ledger, log
 from .ledger import diff_runs, read_ledger, record_run, resolve_run
-from .live import start_live, stop_live, update_progress
 from .metrics import DEFAULT_BUCKETS_MS, MetricsRegistry
 from .sinks import maybe_export, summarize, write_jsonl
 from .trace import (
@@ -65,7 +59,6 @@ __all__ = [
     "gauge",
     "histogram",
     "ledger",
-    "live",
     "log",
     "maybe_export",
     "merge_payload",
@@ -73,11 +66,8 @@ __all__ = [
     "record_run",
     "resolve_run",
     "span",
-    "start_live",
-    "stop_live",
     "summarize",
     "take_payload",
     "traced",
-    "update_progress",
     "write_jsonl",
 ]

@@ -8,18 +8,12 @@ Subcommands:
   machine-readable aggregate, ``--check`` to validate each file and
   exit 1 with the problem list (CI gates the endtoend smoke trace
   this way).
-* ``tail DIR`` — live view of a running campaign/experiment from the
-  ``status.json`` that :mod:`repro.obs.live` keeps in ``DIR``:
-  progress bar, rate/ETA, open spans, worker health.  Refreshes until
-  interrupted (or once with ``--once``); strictly read-only and
-  tolerant of torn/missing files mid-run.
 * ``runs`` — list the run ledger (``--entry`` to filter, ``--last N``
   to bound, ``--json`` for records verbatim).
 * ``diff A B`` — compare two ledger runs (ids, unique prefixes, or
   ``last`` / ``last~N``); spans and bench timings changing more than
   ``--threshold-pct`` (default the ``REPRO_LEDGER_DIFF_PCT`` knob) are
-  flagged and the exit code is 1 when any regression survives — the CI
-  perf gate is exactly this command.
+  flagged and the exit code is 1 when any regression survives.
 """
 
 from __future__ import annotations
@@ -29,11 +23,9 @@ import glob as _glob
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..util.knobs import get_int
 from .ledger import diff_runs, read_ledger, resolve_run
-from .live import load_status
 from .report import load_many, render_json, render_text, validate
 
 __all__ = ["main"]
@@ -68,101 +60,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 1
     sys.stdout.write(render_json(parsed) if args.json else render_text(parsed))
     return 0
-
-
-def _render_status(status: Dict[str, object]) -> str:
-    """One human-readable frame of the live view."""
-    lines: List[str] = []
-    elapsed = float(status.get("elapsed_s", 0.0))  # type: ignore[arg-type]
-    now = time.time()  # replint: disable=REP003 -- display-only staleness of the status file; no result data
-    age = max(0.0, now - float(status.get("updated", 0.0)))  # type: ignore[arg-type]
-    final = bool(status.get("final"))
-    state = "finished" if final else f"updated {age:.1f}s ago"
-    lines.append(
-        f"live status: pid {status.get('pid')}  elapsed {elapsed:.1f}s  "
-        f"seq {status.get('seq')}  ({state})"
-    )
-    progress = status.get("progress")
-    if isinstance(progress, dict) and progress:
-        done = progress.get("done")
-        total = progress.get("total")
-        bits = [f"phase {progress.get('phase', '?')}"]
-        if done is not None and total:
-            pct = progress.get("pct", 0.0)
-            bits.append(f"{done}/{total} ({pct}%)")
-        elif done is not None:
-            bits.append(f"{done} done")
-        if "quarantined" in progress:
-            bits.append(f"quarantined {progress['quarantined']}")
-        if "retries" in progress:
-            bits.append(f"retries {progress['retries']}")
-        if "rate_per_s" in progress:
-            bits.append(f"{progress['rate_per_s']}/s")
-        eta = progress.get("eta_s")
-        if isinstance(eta, (int, float)):
-            bits.append(f"ETA {eta:.0f}s")
-        lines.append("progress: " + "  ".join(str(b) for b in bits))
-    open_spans = status.get("open_spans")
-    if isinstance(open_spans, list) and open_spans:
-        lines.append("open spans:")
-        for entry in open_spans[:8]:
-            lines.append(
-                f"  {entry.get('path')}  ({entry.get('open_ms')} ms open)"
-            )
-    workers = status.get("workers")
-    if isinstance(workers, list) and workers:
-        stalled = int(status.get("n_workers_stalled", 0))  # type: ignore[arg-type]
-        lines.append(
-            f"workers: {len(workers)} seen, {stalled} stalled"
-        )
-        for worker in workers:
-            mark = "STALLED" if worker.get("stalled") else (
-                "busy" if worker.get("in_flight") else "idle"
-            )
-            item = f"  on {worker.get('item')}" if worker.get("item") else ""
-            lines.append(
-                f"  pid {worker.get('pid')}: {mark}, "
-                f"{worker.get('items_done')} done, "
-                f"beat {worker.get('age_s')}s ago{item}"
-            )
-    counters = status.get("counters")
-    if isinstance(counters, dict) and counters:
-        lines.append("counters:")
-        for name in sorted(counters):
-            lines.append(f"  {name:<46} {counters[name]:>12}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_tail(args: argparse.Namespace) -> int:
-    interval = (
-        args.interval
-        if args.interval is not None
-        else max(0.2, get_int("REPRO_OBS_FLUSH_MS") / 1e3)
-    )
-    while True:
-        status = load_status(args.dir)
-        if status is None:
-            if args.once:
-                sys.stderr.write(
-                    f"ERROR: no readable status.json under {args.dir}\n"
-                )
-                return 1
-            sys.stderr.write(
-                f"waiting for {args.dir}/status.json ...\n"
-            )
-        elif args.json:
-            sys.stdout.write(json.dumps(status, sort_keys=True) + "\n")
-        else:
-            if not args.once:
-                sys.stdout.write("\x1b[2J\x1b[H")  # clear screen, home cursor
-            sys.stdout.write(_render_status(status))
-            sys.stdout.flush()
-        if args.once or (status is not None and status.get("final")):
-            return 0
-        try:
-            time.sleep(interval)
-        except KeyboardInterrupt:
-            return 0
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
@@ -243,7 +140,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Inspect repro observability traces, live runs, and the run ledger.",
+        description="Inspect repro observability traces and the run ledger.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,23 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check",
         action="store_true",
         help="validate each trace and exit non-zero on problems",
-    )
-
-    tail = sub.add_parser(
-        "tail", help="watch a running campaign/experiment's live status"
-    )
-    tail.add_argument("dir", help="live directory passed to --live")
-    tail.add_argument(
-        "--once", action="store_true", help="print one frame and exit"
-    )
-    tail.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        help="refresh seconds (default: the REPRO_OBS_FLUSH_MS knob)",
-    )
-    tail.add_argument(
-        "--json", action="store_true", help="emit raw status.json frames"
     )
 
     runs = sub.add_parser("runs", help="list the run ledger")
@@ -314,8 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "report":
         return _cmd_report(args)
-    if args.command == "tail":
-        return _cmd_tail(args)
     if args.command == "runs":
         return _cmd_runs(args)
     if args.command == "diff":

@@ -7,7 +7,6 @@ from .acquisition import (
     make_devices,
     random_instance,
 )
-from .cache import TraceCache
 from .config import DEFAULT_GEOMETRY, PowerModelConfig, TraceGeometry
 from .dataset import TraceSet
 from .device import DeviceProfile, ProgramShift, SessionShift
@@ -36,7 +35,6 @@ __all__ = [
     "RetryPolicy",
     "ScreeningStats",
     "SessionShift",
-    "TraceCache",
     "TraceFault",
     "TraceGeometry",
     "TraceScreener",

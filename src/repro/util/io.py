@@ -57,8 +57,8 @@ def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
 def atomic_append_line(path: PathLike, line: str) -> None:
     """Append one line to ``path`` with a single ``O_APPEND`` write.
 
-    Multiple processes appending concurrently (ledger records, live
-    metric samples) interleave at *line* granularity: the payload is one
+    Multiple processes appending concurrently (ledger records)
+    interleave at *line* granularity: the payload is one
     ``os.write`` on an ``O_APPEND`` descriptor, which POSIX serializes
     for regular files, so readers never see two records spliced into one
     line.  A crash mid-write can still leave a torn *final* line, which

@@ -161,9 +161,11 @@ KNOBS: Dict[str, Knob] = _declare(
         minimum=0.0,
         default_label="0 (off)",
         doc=(
-            "seconds without any capture task completing before the "
-            "worker pool is declared stalled and torn down (completed "
-            "results are kept, the rest retried; results unchanged)"
+            "seconds without any pool task (capture item or campaign "
+            "cell) completing before the worker pool is declared stalled "
+            "and torn down (completed results are kept, the rest retried; "
+            "results unchanged; the campaign's `--cell-timeout` overrides "
+            "it)"
         ),
     ),
     Knob(
@@ -259,39 +261,6 @@ KNOBS: Dict[str, Knob] = _declare(
         ),
     ),
     Knob(
-        name="REPRO_OBS_FLUSH_MS",
-        kind="int",
-        default=1000,
-        minimum=50,
-        doc=(
-            "live-telemetry flush cadence in milliseconds: how often the "
-            "background flusher snapshots `status.json` and appends to "
-            "`metrics.jsonl` while a live directory is active"
-        ),
-    ),
-    Knob(
-        name="REPRO_OBS_FLUSH_STALL_S",
-        kind="float",
-        default=10.0,
-        minimum=0.1,
-        doc=(
-            "seconds since a worker's last heartbeat update before the "
-            "live flusher flags it as stalled in `status.json`"
-        ),
-    ),
-    Knob(
-        name="REPRO_OBS_LIVE_DIR",
-        kind="path",
-        default="",
-        default_label="(unset)",
-        alias="`--live DIR`",
-        doc=(
-            "directory for live telemetry (`status.json`, "
-            "`metrics.jsonl`, worker heartbeats); setting it activates "
-            "observability and the background flusher on entrypoints"
-        ),
-    ),
-    Knob(
         name="REPRO_LEDGER",
         kind="flag",
         default=True,
@@ -316,7 +285,7 @@ KNOBS: Dict[str, Knob] = _declare(
         minimum=0.0,
         doc=(
             "default regression threshold (percent) for `python -m "
-            "repro.obs diff` and the ledger-backed bench gate"
+            "repro.obs diff`"
         ),
     ),
     Knob(
@@ -347,32 +316,8 @@ KNOBS: Dict[str, Knob] = _declare(
         default_label="0 (no wait)",
         doc=(
             "base backoff in seconds between campaign cell retry rounds "
-            "(doubles per round, ±25 % deterministic jitter; only waits "
-            "when a sleep hook is installed)"
-        ),
-    ),
-    Knob(
-        name="REPRO_CAMPAIGN_CELL_TIMEOUT",
-        kind="float",
-        default=0.0,
-        minimum=0.0,
-        default_label="0 (off)",
-        doc=(
-            "seconds without any cell completing before a shard's worker "
-            "pool is declared stalled and torn down (survivors are kept, "
-            "the rest go through the retry funnel)"
-        ),
-    ),
-    Knob(
-        name="REPRO_CAMPAIGN_CHAOS",
-        kind="float",
-        default=0.0,
-        minimum=0.0,
-        default_label="0 (off)",
-        doc=(
-            "chaos self-test disruption probability per (cell, attempt): "
-            "deterministically crashes, hangs, or fails workers to prove "
-            "the campaign engine's fault tolerance"
+            "(doubles per round, ±25 % deterministic jitter; the campaign "
+            "CLI sleeps it, `run_campaign` only with a `sleep` hook)"
         ),
     ),
     # Bench-harness knobs: declared for REP001's registry check but kept

@@ -68,7 +68,6 @@ from typing import (
     TypeVar,
 )
 
-from ..obs import live as _live
 from ..obs import trace as _obs
 from .knobs import get_float, get_int
 
@@ -423,7 +422,7 @@ def _observed_pooled_map(
     health (items, retries, salvages, per-task latency, worker
     utilization) into the ``parallel.*`` metrics.
     """
-    task = _obs.WorkerTask(fn, heartbeat_dir=_live.heartbeat_dir())
+    task = _obs.WorkerTask(fn)
     results: List[_R] = []
     with _obs.span("parallel.map", n_jobs=n_jobs, n_items=len(work)) as sp:
         t0 = _obs.now_ms()

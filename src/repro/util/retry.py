@@ -38,7 +38,8 @@ def uniform01(seed: int, key: str) -> float:
 
     A CRC32 of the seed-salted key — not cryptographic, but stable
     across processes and Python versions (unlike ``hash()``), cheap,
-    and well-spread enough for jitter and chaos-injection decisions.
+    and well-spread enough for backoff jitter and the campaign's
+    synthetic measurement noise.
     """
     token = f"{seed}|{key}".encode("utf-8")
     return (zlib.crc32(token) & 0xFFFFFFFF) / 2.0**32

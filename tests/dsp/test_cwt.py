@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dsp import CWT, CwtConfig, cwt_magnitude
+from repro.dsp import CWT, CwtConfig
 
 
 def burst(n, center, period, width, amplitude=1.0):
@@ -114,7 +114,3 @@ class TestLinearity:
         base = cwt.transform(trace)
         scaled = cwt.transform(gain * trace)
         np.testing.assert_allclose(scaled, gain * base, rtol=1e-4, atol=1e-6)
-
-    def test_convenience_function(self):
-        out = cwt_magnitude(np.zeros((2, 64)), CwtConfig(n_scales=5, scale_max=16))
-        assert out.shape == (2, 5, 64)

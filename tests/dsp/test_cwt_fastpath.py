@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from repro.dsp import backend
-from repro.dsp.cwt import CWT, CwtConfig, clear_cwt_cache, cwt_magnitude, get_cwt
+from repro.dsp.cwt import CWT, CwtConfig, clear_cwt_cache, get_cwt
 from tests.oracles import cwt_transform, point_operator
 
 ATOL = 1e-5
@@ -177,13 +177,6 @@ def test_operator_cache_identity():
     clear_cwt_cache()
     # Fresh operator after an explicit clear.
     assert isinstance(get_cwt(315), CWT)
-
-
-def test_cwt_magnitude_uses_cached_operator():
-    traces = _traces(4, 315, seed=17)
-    first = cwt_magnitude(traces)
-    # Same cached operator serves the convenience function.
-    np.testing.assert_array_equal(first, get_cwt(315).transform(traces))
 
 
 def test_config_scales_computed_once():

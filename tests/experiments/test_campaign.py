@@ -1,13 +1,15 @@
-"""Campaign engine: grid spec, retry funnel, chaos, resume, Pareto."""
+"""Campaign engine: grid spec, retry funnel, quarantine, resume, Pareto."""
+
+import multiprocessing
+import os
+from pathlib import Path
 
 import pytest
 
+from repro.experiments import campaign
 from repro.experiments.campaign import (
     CampaignConfig,
-    Cell,
     CellRunner,
-    ChaosConfig,
-    ChaosError,
     GridSpec,
     default_grid,
     evaluate_synthetic,
@@ -27,6 +29,83 @@ def tiny_spec(**overrides):
     axes = dict(TINY_AXES)
     axes.update(overrides)
     return GridSpec.from_axes(axes)
+
+
+class TransientCellError(RuntimeError):
+    """A scripted in-cell failure raised by :class:`FlakyEvaluator`."""
+
+
+class FlakyEvaluator:
+    """Synthetic evaluator with scripted failures, for the retry funnel.
+
+    ``fail_first[cell_id] = n`` makes that cell raise on its first ``n``
+    attempts and succeed after.  Attempts are counted in one marker file
+    per cell under ``state_dir``, so the count holds across pool
+    workers.  ``crash_cell`` calls ``os._exit`` when run in a pool
+    worker, killing it, and raises when the parent process runs it (the
+    serial salvage pass), so the test process survives.
+    """
+
+    def __init__(self, state_dir, fail_first=None, crash_cell=None):
+        self.state_dir = str(state_dir)
+        self.fail_first = dict(fail_first or {})
+        self.crash_cell = crash_cell
+
+    def __call__(self, cell, seed):
+        if cell.cell_id == self.crash_cell:
+            if multiprocessing.parent_process() is not None:
+                os._exit(17)
+            raise RuntimeError(f"crash cell {cell.cell_id} run in the parent")
+        budget = self.fail_first.get(cell.cell_id, 0)
+        if budget:
+            marker = Path(self.state_dir) / cell.cell_id
+            seen = int(marker.read_text()) if marker.exists() else 0
+            if seen < budget:
+                marker.write_text(str(seen + 1))
+                raise TransientCellError(
+                    f"scripted failure {seen + 1}/{budget} of {cell.cell_id}"
+                )
+        return evaluate_synthetic(cell, seed)
+
+
+#: Shard size for the failure tests: 4 shards of 4 cells.  The crash
+#: cell sits in shard 0 and the transient cells in shards 1-3, so a
+#: worker death never discards a transient cell's counted attempt.
+SHARD = 4
+CELLS = tiny_spec().enumerate()[0]
+CRASH = CELLS[1].cell_id
+TRANSIENT = {CELLS[5].cell_id: 1, CELLS[10].cell_id: 2, CELLS[15].cell_id: 1}
+
+
+@pytest.fixture
+def flaky(tmp_path, monkeypatch):
+    """Register a fresh ``"flaky"`` evaluator; returns its factory.
+
+    Pool workers see the registration because they fork from the test
+    process (the ``fork`` start method, Linux's default before 3.14).
+    """
+    runs = []
+
+    def register(crash=True):
+        state = tmp_path / f"flaky-{len(runs)}"
+        state.mkdir()
+        evaluator = FlakyEvaluator(
+            state, TRANSIENT, crash_cell=CRASH if crash else None
+        )
+        monkeypatch.setitem(campaign.EVALUATORS, "flaky", evaluator)
+        runs.append(evaluator)
+        return evaluator
+
+    return register
+
+
+def run_flaky(n_jobs, retries, **overrides):
+    return run_campaign(
+        CampaignConfig(
+            spec=tiny_spec(), evaluator="flaky", n_jobs=n_jobs,
+            retries=retries, shard_size=SHARD, **overrides,
+        )
+    )
 
 
 class TestGridSpec:
@@ -85,45 +164,14 @@ class TestGridSpec:
             default_grid("nope")
 
 
-class TestChaos:
-    def test_rate_zero_never_disrupts(self):
-        chaos = ChaosConfig(rate=0.0, seed=1)
-        for i in range(50):
-            chaos.disrupt(f"cell-{i}", 0)  # must not raise
-
-    def test_disruption_is_deterministic_in_cell_and_attempt(self):
-        chaos = ChaosConfig(rate=0.5, seed=3)
-
-        def outcome(cell_id, attempt):
-            try:
-                chaos.disrupt(cell_id, attempt)
-                return "ok"
-            except ChaosError as exc:
-                return str(exc)
-
-        first = [outcome(f"c{i}", a) for i in range(40) for a in (0, 1)]
-        second = [outcome(f"c{i}", a) for i in range(40) for a in (0, 1)]
-        assert first == second
-        assert any(o != "ok" for o in first)
-        assert any(o == "ok" for o in first)
-
-    def test_driver_process_never_killed_only_raises(self):
-        # In the main process every chaos mode must degrade to
-        # ChaosError — os._exit here would kill the test run itself.
-        chaos = ChaosConfig(rate=1.0, seed=0)
-        for i in range(30):
-            with pytest.raises(ChaosError):
-                chaos.disrupt(f"cell-{i}", 0)
-
-
 class TestCellRunner:
     def test_unknown_evaluator_rejected(self):
         with pytest.raises(KeyError, match="unknown evaluator"):
-            CellRunner("nope", 1, ChaosConfig())
+            CellRunner("nope", 1)
 
     def test_ok_result_carries_metrics(self):
         cell = tiny_spec().enumerate()[0][0]
-        runner = CellRunner("synthetic", 7, ChaosConfig())
+        runner = CellRunner("synthetic", 7)
         result = runner((cell, 0))
         assert result.status == "ok"
         assert result.attempts == 1
@@ -131,12 +179,16 @@ class TestCellRunner:
             "accuracy", "capture_cost", "inference_cost"
         }
 
-    def test_in_cell_error_becomes_error_result(self):
-        cell = tiny_spec().enumerate()[0][0]
-        runner = CellRunner("synthetic", 7, ChaosConfig(rate=1.0, seed=0))
+    def test_in_cell_error_becomes_error_result(self, flaky):
+        flaky(crash=False)
+        cell = CELLS[5]
+        runner = CellRunner("flaky", 7)
         result = runner((cell, 0))
         assert result.status == "error"
-        assert "ChaosError" in result.error
+        assert result.attempts == 1
+        assert "TransientCellError" in result.error
+        assert not result.metrics
+        assert runner((cell, 1)).status == "ok"  # the script allows one
 
 
 class TestCampaignRun:
@@ -158,46 +210,6 @@ class TestCampaignRun:
         assert [r["cell"] for r in result.table.rows] == [
             c.cell_id for c in cells
         ]
-
-    def test_chaos_run_terminates_and_accounts_for_everything(self):
-        result = run_campaign(
-            CampaignConfig(
-                spec=tiny_spec(),
-                chaos_rate=0.3,
-                chaos_hang_seconds=1.0,
-                n_jobs=1,  # serial: crash/hang degrade to ChaosError
-                retries=0,
-                shard_size=8,
-            )
-        )
-        coverage = result.report["coverage"]
-        assert coverage["accounted"]
-        assert coverage["n_quarantined"] > 0
-        for entry in result.report["quarantined"]:
-            assert entry["error"]
-            assert entry["params"]
-
-    def test_retries_rescue_transient_chaos(self):
-        hostile = run_campaign(
-            CampaignConfig(
-                spec=tiny_spec(), chaos_rate=0.3, n_jobs=1,
-                retries=0, shard_size=8,
-            )
-        )
-        patient = run_campaign(
-            CampaignConfig(
-                spec=tiny_spec(), chaos_rate=0.3, n_jobs=1,
-                retries=3, shard_size=8,
-            )
-        )
-        h_cov = hostile.report["coverage"]
-        p_cov = patient.report["coverage"]
-        assert p_cov["n_completed"] > h_cov["n_completed"]
-        retried = [
-            r for r in patient.results
-            if r.status == "completed" and r.attempts > 1
-        ]
-        assert retried  # some cells genuinely went through the funnel
 
     def test_results_independent_of_worker_count(self):
         serial = run_campaign(
@@ -265,17 +277,105 @@ class TestCampaignRun:
                 )
             )
 
-    def test_backoff_uses_injected_sleep(self):
-        slept = []
-        run_campaign(
-            CampaignConfig(
-                spec=tiny_spec(), chaos_rate=0.3, n_jobs=1,
-                retries=2, backoff=0.5, shard_size=16,
-                sleep=slept.append,
-            )
+
+
+    # The retry/quarantine funnel, driven by FlakyEvaluator's scripted
+    # failures on one worker and on a two-worker pool.
+
+    def test_failing_run_accounts_for_every_cell(self, flaky):
+        for n_jobs in (1, 2):
+            flaky()
+            result = run_flaky(n_jobs, retries=0)
+            coverage = result.report["coverage"]
+            assert coverage["accounted"] and not coverage["n_skipped"]
+            assert coverage["n_completed"] + coverage["n_quarantined"] == 16
+            quarantined = {
+                e["cell_id"]: e for e in result.report["quarantined"]
+            }
+            # With no retries, every scripted failure is quarantined.
+            assert set(quarantined) == {CRASH, *TRANSIENT}
+            for cell_id in TRANSIENT:
+                entry = quarantined[cell_id]
+                assert entry["attempts"] == 1
+                assert "TransientCellError" in entry["error"]
+                assert entry["params"]
+            assert "run in the parent" in quarantined[CRASH]["error"]
+            statuses = {r["cell"]: r["status"] for r in result.table.rows}
+            assert len(statuses) == 16
+            for cell_id, status in statuses.items():
+                expected = (
+                    "quarantined" if cell_id in quarantined else "completed"
+                )
+                assert status == expected
+
+    def test_dead_worker_cell_keeps_pool_context(self, flaky):
+        flaky()
+        result = run_flaky(2, retries=0)
+        (entry,) = [
+            e for e in result.report["quarantined"] if e["cell_id"] == CRASH
+        ]
+        assert entry["error"]
+        assert entry["pool_context"].startswith("attempt 0: ")
+        assert "pool rounds" in entry["pool_context"]
+        # The crash cell's shard-mates survive the dead worker.
+        shard_mates = {c.cell_id for c in CELLS[:SHARD]} - {CRASH}
+        completed = {
+            r.cell_id for r in result.results if r.status == "completed"
+        }
+        assert shard_mates <= completed
+
+    def test_retries_rescue_transient_failures(self, flaky):
+        clean = run_campaign(
+            CampaignConfig(spec=tiny_spec(), n_jobs=1, shard_size=SHARD)
         )
-        assert slept  # funnel waited between retry rounds
-        assert all(0.0 < s <= 30.0 * 1.25 for s in slept)
+        for n_jobs in (1, 2):
+            flaky(crash=False)
+            hostile = run_flaky(n_jobs, retries=0)
+            flaky(crash=False)
+            patient = run_flaky(n_jobs, retries=3)
+            assert hostile.report["coverage"]["n_quarantined"] == len(
+                TRANSIENT
+            )
+            assert patient.report["coverage"]["complete"]
+            attempts = {r.cell_id: r.attempts for r in patient.results}
+            for cell_id, budget in TRANSIENT.items():
+                assert attempts[cell_id] == budget + 1
+            assert all(
+                attempts[c.cell_id] == 1 for c in CELLS
+                if c.cell_id not in TRANSIENT
+            )
+            # Rescued cells carry the same metrics as a clean run.
+            assert [r.metrics for r in patient.results] == [
+                r.metrics for r in clean.results
+            ]
+
+    def test_backoff_uses_injected_sleep(self, flaky):
+        for n_jobs in (1, 2):
+            flaky(crash=False)
+            slept = []
+            run_flaky(n_jobs, retries=2, backoff=0.5, sleep=slept.append)
+            # One wait before each retry round: shards 1 and 3 retry
+            # once, shard 2 twice (its cell fails two attempts).
+            assert len(slept) == 4
+            assert all(0.5 * 0.75 <= s <= 1.0 * 1.25 for s in slept)
+
+    def test_cli_waits_the_backoff_knob(self, flaky, monkeypatch, capsys):
+        import time
+
+        flaky(crash=False)
+        monkeypatch.setenv("REPRO_CAMPAIGN_BACKOFF", "0.5")
+        monkeypatch.setenv("REPRO_LEDGER", "0")
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        code = campaign.main([
+            "--scale", "smoke", "--evaluator", "flaky", "--n-jobs", "1",
+            "--retries", "2", "--shard-size", str(SHARD),
+        ])
+        assert code == 0
+        assert "Campaign" in capsys.readouterr().out
+        # The knob's backoff is waited, exactly as --backoff 0.5 would be.
+        assert len(slept) == 4
+        assert all(0.5 * 0.75 <= s <= 1.0 * 1.25 for s in slept)
 
 
 class TestParetoReport:
@@ -314,21 +414,22 @@ class TestParetoReport:
 
 
 class TestObsIntegration:
-    def test_campaign_spans_and_counters(self):
+    def test_campaign_spans_and_counters(self, flaky):
         from repro import obs
 
-        collector = obs.activate()
-        try:
-            run_campaign(
-                CampaignConfig(
-                    spec=tiny_spec(), chaos_rate=0.3, n_jobs=1,
-                    retries=1, shard_size=8,
-                )
-            )
-        finally:
-            obs.deactivate()
-        names = {s.name for s in collector.spans}
-        assert {"campaign.run", "campaign.shard", "campaign.cell"} <= names
-        snapshot = collector.metrics.snapshot()
-        assert snapshot["campaign.cells_completed"]["value"] > 0
-        assert snapshot["campaign.cell_retries"]["value"] > 0
+        for n_jobs in (1, 2):
+            flaky()
+            collector = obs.activate()
+            try:
+                run_flaky(n_jobs, retries=1)
+            finally:
+                obs.deactivate()
+            names = {s.name for s in collector.spans}
+            assert {"campaign.run", "campaign.shard", "campaign.cell"} <= names
+            snapshot = collector.metrics.snapshot()
+            # 16 cells: 13 clean, two transient cells rescued on attempt
+            # 1, and the crash cell plus the twice-failing cell
+            # quarantined.
+            assert snapshot["campaign.cells_completed"]["value"] == 14
+            assert snapshot["campaign.cells_quarantined"]["value"] == 2
+            assert snapshot["campaign.cell_retries"]["value"] == 4

@@ -10,7 +10,6 @@ from repro.ml import (
     SVC,
     accuracy_score,
     classification_report,
-    confusion_matrix,
     cross_val_score,
     kfold_indices,
     per_class_recall,
@@ -71,14 +70,6 @@ class TestMetrics:
     def test_accuracy_empty_raises(self):
         with pytest.raises(ValueError):
             accuracy_score([], [])
-
-    def test_confusion_matrix(self):
-        cm = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        np.testing.assert_array_equal(cm, [[1, 1], [0, 2]])
-
-    def test_confusion_matrix_fixed_size(self):
-        cm = confusion_matrix([0], [0], n_classes=4)
-        assert cm.shape == (4, 4)
 
     def test_per_class_recall(self):
         recalls = per_class_recall([0, 0, 1, 1], [0, 1, 1, 1])

@@ -2,20 +2,17 @@
 
 import pytest
 
-from repro.obs import live, log, trace
+from repro.obs import log, trace
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state(monkeypatch):
     monkeypatch.delenv("REPRO_OBS", raising=False)
     monkeypatch.delenv("REPRO_OBS_MEM", raising=False)
-    monkeypatch.delenv("REPRO_OBS_LIVE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_OBS_FLUSH_MS", raising=False)
     trace.reset()
     log.reset_level()
     log.reset_suppressed()
     yield
-    live.stop_live()
     trace.reset()
     log.reset_level()
     log.reset_suppressed()

@@ -1,4 +1,4 @@
-"""Obs wired into the pipeline: pools, caches, and the --trace CLI flag."""
+"""Obs wired into the pipeline: pools, the CWT cache, and the --trace CLI flag."""
 
 import numpy as np
 
@@ -8,7 +8,6 @@ from repro.obs.report import load, validate
 from repro.obs.sinks import write_jsonl
 from repro.obs.trace import Collector, activate, span
 from repro.power import Acquisition
-from repro.power.cache import TraceCache
 from repro.util.parallel import parallel_map
 
 
@@ -62,35 +61,6 @@ class TestParallelMerge:
 
 
 class TestCacheCounters:
-    def test_trace_cache_stats_and_meta(self, tmp_path):
-        collector = activate(Collector())
-        cache = TraceCache(tmp_path)
-        key = {"classes": ["NOP"], "n": 4, "seed": 3}
-
-        def capture():
-            return Acquisition(seed=3).capture_instruction_set(["NOP"], 4, 2)
-
-        first = cache.get_or_capture(key, capture)
-        second = cache.get_or_capture(key, capture)
-        assert first.meta["trace_cache"] == {"hit": False}
-        assert second.meta["trace_cache"] == {"hit": True}
-        assert cache.stats == {"hits": 1, "misses": 1, "evictions": 0}
-        assert cache.clear() == 1
-        assert cache.stats["evictions"] == 1
-        snap = collector.metrics.snapshot()
-        assert snap["trace_cache.hits"]["value"] == 1
-        assert snap["trace_cache.misses"]["value"] == 1
-        assert snap["trace_cache.evictions"]["value"] == 1
-
-    def test_trace_cache_stats_track_without_obs(self, tmp_path):
-        # The dict on the instance counts even when tracing is disabled.
-        cache = TraceCache(tmp_path)
-        cache.get_or_capture(
-            {"n": 4},
-            lambda: Acquisition(seed=1).capture_instruction_set(["NOP"], 4, 2),
-        )
-        assert cache.stats["misses"] == 1
-
     def test_cwt_op_cache_counters(self):
         collector = activate(Collector())
         clear_cwt_cache()

@@ -68,7 +68,7 @@ class TestRecordRun:
         record = ledger.record_run("campaign")
         assert record["knobs"]["REPRO_CAMPAIGN_RETRIES"] == "7"
         # Unset knobs don't appear: the snapshot is what *this* run set.
-        assert "REPRO_CAMPAIGN_CHAOS" not in record["knobs"]
+        assert "REPRO_CAMPAIGN_BACKOFF" not in record["knobs"]
 
     def test_obs_summary_attached_when_enabled(self, runs_dir):
         record = _record_with_obs("experiment.endtoend", span_ms=40.0)

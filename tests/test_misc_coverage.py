@@ -7,7 +7,6 @@ from repro.core.malware import GoldenReference
 from repro.core.sequence import SequenceDisassembler
 from repro.dsp import CWT
 from repro.isa import assemble_line, decode_one
-from repro.isa.disasm import iter_decode
 from repro.isa.operands import OperandKind, is_register
 from repro.ml import GaussianHMM
 from repro.power import Acquisition, PowerModel
@@ -15,14 +14,6 @@ from repro.sim import AvrCpu
 
 
 class TestIsaHelpers:
-    def test_iter_decode_addresses(self):
-        words = []
-        for line in ("nop", "lds r4, 0x0100", "nop"):
-            words.extend(assemble_line(line).encode())
-        decoded = list(iter_decode(words))
-        assert [addr for addr, _ in decoded] == [0, 1, 3]
-        assert decoded[1][1].spec.key == "LDS"
-
     def test_is_register_kinds(self):
         assert is_register(OperandKind.REG)
         assert is_register(OperandKind.REG_PAIR_HIGH)
@@ -73,22 +64,6 @@ class TestCoreHelpers:
 
 
 class TestWorkloadHelpers:
-    def test_capture_register_sets_pair(self):
-        from repro.experiments.workloads import capture_register_sets
-
-        acq = Acquisition(seed=71)
-        rd, rr = capture_register_sets(acq, (2, 20), 8, 2)
-        assert rd.label_names == ("Rd2", "Rd20")
-        assert rr.label_names == ("Rr2", "Rr20")
-
-    def test_capture_group_instruction_set(self):
-        from repro.experiments.scales import SMOKE
-        from repro.experiments.workloads import capture_group_instruction_set
-
-        acq = Acquisition(seed=72)
-        ts = capture_group_instruction_set(acq, 8, 8, 2, scale=SMOKE)
-        assert len(ts.label_names) == SMOKE.classes_per_group_cap
-
     def test_sequence_prior_from_key_sequences(self):
         # minimal hierarchy via the fixture-free path
         from repro.features import FeatureConfig

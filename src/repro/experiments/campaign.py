@@ -914,6 +914,7 @@ def run(scale="bench", checkpoint_dir=None) -> ResultTable:
             evaluator=evaluator,
             n_jobs=scale.n_jobs,
             checkpoint_dir=checkpoint_dir,
+            sleep=time.sleep,
         )
     )
     return result.table

@@ -49,12 +49,19 @@ class Instruction:
         return self.spec.key
 
     def encode(self) -> Tuple[int, ...]:
-        """Encode into one or two 16-bit opcode words."""
-        fields = {
-            spec_op.field: op.to_field(spec_op.kind, value)
-            for spec_op, value in zip(self.spec.operands, self.values)
-        }
-        return self.spec.compiled.encode(self.spec.encode_fields(fields))
+        """Encode into one or two 16-bit opcode words.
+
+        Table-driven from the spec's pattern (:attr:`InstructionSpec.encoder`):
+        start from the fixed bits, then OR in each operand's raw field
+        bits, run by run.
+        """
+        words, operands = self.spec.encoder
+        words = list(words)
+        for (table, runs), value in zip(operands, self.values):
+            raw = table[value]
+            for index, shift, mask, place in runs:
+                words[index] |= ((raw >> place) & mask) << shift
+        return tuple(words)
 
     def text(self) -> str:
         """Render back to assembly text."""

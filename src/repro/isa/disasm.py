@@ -39,26 +39,6 @@ class DisassemblyError(ValueError):
     """Raised when opcode words match no known instruction."""
 
 
-def _bit_runs(positions: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, ...], ...]:
-    """Split a field's MSB-first bit positions into contiguous runs.
-
-    Each run is ``(word index, shift, mask, place)``: the field's bits
-    ``place..`` are ``(words[word index] >> shift) & mask``.
-    """
-    runs = []
-    width = len(positions)
-    start = 0
-    while start < width:
-        word, top = positions[start]
-        end = start
-        while end + 1 < width and positions[end + 1] == (word, top - (end + 1 - start)):
-            end += 1
-        length = end - start + 1
-        runs.append((word, top - length + 1, (1 << length) - 1, width - 1 - end))
-        start = end + 1
-    return tuple(runs)
-
-
 #: Widest field decoded through a lookup table (8-bit immediates); the
 #: wider jump offsets and absolute addresses are converted per decode.
 _MAX_TABLE_BITS = 8
@@ -115,8 +95,7 @@ class _Decoder:
         fields = canonical.compiled.fields
         operands = []
         for spec_op in spec.operands:
-            positions = fields[spec_op.field]
-            width = len(positions)
+            width = len(fields[spec_op.field])
             complement = 0
             if spec.complement_field == spec_op.field:
                 complement = (1 << width) - 1
@@ -129,7 +108,9 @@ class _Decoder:
                         _checked_value(spec_op.kind, raw ^ complement)
                         for raw in range(1 << width)
                     )
-            operands.append((_bit_runs(positions), tables[key]))
+            operands.append(
+                (canonical.compiled.field_runs(spec_op.field), tables[key])
+            )
         self.operands = tuple(operands)
 
     def __call__(self, words: Sequence[int]) -> Instruction:

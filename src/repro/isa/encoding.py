@@ -49,6 +49,31 @@ class CompiledPattern:
         """Number of bits of field ``name``."""
         return len(self.fields[name])
 
+    def field_runs(self, name: str) -> Tuple[Tuple[int, int, int, int], ...]:
+        """Split field ``name``'s MSB-first bit positions into contiguous runs.
+
+        Each run is ``(word index, shift, mask, place)``: the field's bits
+        ``place..`` are ``(words[word index] >> shift) & mask``.  Decoding
+        gathers a field run by run; encoding scatters it the same way.
+        """
+        positions = self.fields[name]
+        runs = []
+        width = len(positions)
+        start = 0
+        while start < width:
+            word, top = positions[start]
+            end = start
+            while end + 1 < width and positions[end + 1] == (
+                word, top - (end + 1 - start)
+            ):
+                end += 1
+            length = end - start + 1
+            runs.append(
+                (word, top - length + 1, (1 << length) - 1, width - 1 - end)
+            )
+            start = end + 1
+        return tuple(runs)
+
     def encode(self, field_values: Mapping[str, int]) -> Tuple[int, ...]:
         """Assemble opcode words from raw field values.
 

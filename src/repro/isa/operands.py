@@ -22,6 +22,7 @@ __all__ = [
     "OperandError",
     "OperandKind",
     "OperandSpec",
+    "field_table",
     "format_operand",
     "parse_operand",
 ]
@@ -160,6 +161,49 @@ def from_field(kind: OperandKind, field: int) -> int:
         sign = 1 << (width - 1)
         return (field ^ sign) - sign
     return field
+
+
+#: Legal-value span of the register-pair kinds (odd values are illegal).
+_PAIR_SPANS = {OperandKind.REG_PAIR: (0, 30), OperandKind.REG_PAIR_HIGH: (24, 30)}
+#: Kinds with at most this many candidate values are tabulated up front.
+_MAX_TABLE_VALUES = 256
+
+
+class _FieldTable(dict):
+    """Logical value -> raw field bits of one kind, XOR ``complement``.
+
+    Filled up front for kinds with few legal values; wider kinds (jump
+    offsets, absolute addresses) and illegal values fall through to
+    :func:`to_field` on every lookup, so an illegal value raises
+    :class:`OperandError` exactly as :func:`to_field` does.
+    """
+
+    def __init__(self, kind: OperandKind, complement: int) -> None:
+        super().__init__()
+        self.kind = kind
+        self.complement = complement
+        lo, hi = _PAIR_SPANS.get(kind) or _RANGES[kind]
+        if hi - lo < _MAX_TABLE_VALUES:
+            for value in range(lo, hi + 1):
+                try:
+                    self[value] = to_field(kind, value) ^ complement
+                except OperandError:
+                    continue
+
+    def __missing__(self, value: int) -> int:
+        return int(to_field(self.kind, value)) ^ self.complement
+
+
+_FIELD_TABLES: dict = {}
+
+
+def field_table(kind: OperandKind, complement: int = 0) -> "dict":
+    """Shared value -> raw field map of ``kind`` (raw XOR ``complement``)."""
+    key = (kind, complement)
+    table = _FIELD_TABLES.get(key)
+    if table is None:
+        table = _FIELD_TABLES[key] = _FieldTable(kind, complement)
+    return table
 
 
 def is_register(kind: OperandKind) -> bool:

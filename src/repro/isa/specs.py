@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .encoding import CompiledPattern, compile_pattern
-from .operands import OperandKind, OperandSpec
+from .operands import OperandKind, OperandSpec, field_table
 
 __all__ = [
     "DECODE_ORDER",
@@ -80,9 +80,46 @@ class InstructionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compiled", compile_pattern(self.pattern))
+        object.__setattr__(self, "encoder", self._build_encoder())
 
-    # ``compiled`` is assigned in __post_init__; declare for type checkers.
+    # ``compiled`` and ``encoder`` are assigned in __post_init__; declare
+    # them for type checkers.
     compiled: CompiledPattern = field(init=False, repr=False, compare=False)
+    encoder: Tuple[Tuple[int, ...], Tuple[tuple, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def _build_encoder(self) -> Tuple[Tuple[int, ...], Tuple[tuple, ...]]:
+        """Encoding tables: ``(fixed words, per-operand (table, runs))``.
+
+        The fixed words carry the pattern's fixed bits and every
+        ``fixed_fields`` constant.  Each operand maps its value to raw
+        field bits through a shared table (complemented for
+        ``complement_field``) and scatters them over the bit runs of its
+        own field and of every field ``derived_fields`` copies from it —
+        the rules :meth:`encode_fields` applies field by field.
+        """
+        compiled = self.compiled
+        words = list(compiled.fixed_value)
+        for name, const in self.fixed_fields.items():
+            for index, shift, mask, place in compiled.field_runs(name):
+                words[index] |= ((const >> place) & mask) << shift
+        operands = []
+        for spec_op in self.operands:
+            name = spec_op.field
+            complement = 0
+            if name == self.complement_field:
+                complement = (1 << compiled.field_width(name)) - 1
+            targets = [name] + [
+                derived
+                for derived, source in self.derived_fields.items()
+                if source == name
+            ]
+            runs = tuple(
+                run for target in targets for run in compiled.field_runs(target)
+            )
+            operands.append((field_table(spec_op.kind, complement), runs))
+        return tuple(words), tuple(operands)
 
     @property
     def n_words(self) -> int:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..util.knobs import get_flag, get_int
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 
 __all__ = [
     "Collector",

@@ -594,7 +594,7 @@ class Acquisition:
         windows = self._windows(trace, targets, rng)
         windows, _, stats = self._quality_cycle(windows, label, file_index)
         if self.reference_subtraction:
-            windows = windows - self.reference_window()
+            windows -= self.reference_window()
         return windows, stats
 
     def _capture_classes(
@@ -847,7 +847,7 @@ class Acquisition:
             self._record_stats(label, [stats])
             meta["screening"] = {label: stats.as_dict()}
         if self.reference_subtraction:
-            windows = windows - self.reference_window()
+            windows -= self.reference_window()
         return TraceSet(
             traces=windows,
             labels=order,
@@ -886,7 +886,7 @@ class Acquisition:
             trace = self.scope.digitize(analog, noise_rng)
         windows = self._windows(trace, list(range(len(events))), rng)
         if self.reference_subtraction:
-            windows = windows - self.reference_window()
+            windows -= self.reference_window()
         return ProgramCapture(
             windows=windows,
             instructions=[e.instruction for e in events],

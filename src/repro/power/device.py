@@ -24,18 +24,24 @@ __all__ = ["DeviceProfile", "ProgramShift", "SessionShift"]
 
 
 def _apply_tilts(trace: np.ndarray, *tilts) -> np.ndarray:
-    """Add low-passed copies of the trace, one per (strength, sigma)."""
+    """Add low-passed copies of the trace, one per (strength, sigma).
+
+    Every copy is filtered from the trace as it was on entry; the sum
+    is accumulated into ``trace`` itself, which is returned.
+    """
     from scipy.ndimage import gaussian_filter1d
 
-    out = trace
-    centered = None
+    centered = lowpassed = None
     for strength, sigma in tilts:
         if strength == 0.0:
             continue
         if centered is None:
             centered = trace - trace.mean()
-        out = out + strength * gaussian_filter1d(centered, sigma)
-    return out
+            lowpassed = np.empty_like(centered)
+        gaussian_filter1d(centered, sigma, output=lowpassed)
+        lowpassed *= strength
+        trace += lowpassed
+    return trace
 
 
 @dataclass(frozen=True)
@@ -145,15 +151,23 @@ class ProgramShift:
             (self.tilt, self.tilt_sigma_samples),
             (self.tilt2, self.tilt2_sigma_samples),
         )
-        return shifted + self.baseline(len(shifted), samples_per_cycle)
+        shifted += self.baseline(len(shifted), samples_per_cycle)
+        return shifted
 
     def baseline(self, n_samples: int, samples_per_cycle: int) -> np.ndarray:
-        """Additive baseline over ``n_samples`` trace points."""
-        t = np.arange(n_samples, dtype=np.float64)
-        period = self.wobble_period_cycles * samples_per_cycle
-        return self.dc_offset + self.wobble_amplitude * np.sin(
-            2.0 * np.pi * t / period + self.wobble_phase
-        )
+        """Additive baseline over ``n_samples`` trace points.
+
+        ``dc + amplitude * sin(2π t / period + phase)``, evaluated in
+        place in that order.
+        """
+        wave = np.arange(n_samples, dtype=np.float64)
+        wave *= 2.0 * np.pi
+        wave /= self.wobble_period_cycles * samples_per_cycle
+        wave += self.wobble_phase
+        np.sin(wave, out=wave)
+        wave *= self.wobble_amplitude
+        wave += self.dc_offset
+        return wave
 
 
 @dataclass(frozen=True)
@@ -201,4 +215,5 @@ class SessionShift:
             (self.tilt, self.tilt_sigma_samples),
             (self.tilt2, self.tilt2_sigma_samples),
         )
-        return shifted + self.offset
+        shifted += self.offset
+        return shifted

@@ -41,7 +41,20 @@ _SKIP_SEMANTICS = frozenset({"CPSE", "SBRC", "SBRS", "SBIC", "SBIS"})
 _BIT_SEMANTICS = frozenset({"BSET", "BCLR", "BST", "BLD", "SBI", "CBI"})
 
 
+#: Set bits of every 16-bit value.  Register values, ALU operands and
+#: results, addresses and opcode words all fit in 16 bits.
+_POPCOUNT16 = (
+    np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8))
+    .reshape(-1, 16)
+    .sum(axis=1, dtype=np.uint8)
+    .tobytes()
+)
+
+
 def _popcount(value: int) -> int:
+    """Set bits of ``value``'s low 32 bits (two's complement)."""
+    if 0 <= value < 0x10000:
+        return _POPCOUNT16[value]
     return bin(value & 0xFFFFFFFF).count("1")
 
 
@@ -91,6 +104,15 @@ _MEM_COMPONENTS = {
 }
 
 
+#: Basis-row keys of the fixed execute-stage terms, in the order
+#: :meth:`PowerModel._execute_terms` unpacks their resolved rows.
+_TERM_KEYS = (
+    "comp|skip", "comp|branch", "comp|bit_unit", "comp|regfile_read",
+    "comp|regfile_write", "comp|alu", "op_a", "op_b", "result",
+    "mem_addr", "mem_data", "word2",
+)
+
+
 class PowerModel:
     """Renders instruction event streams into synthetic power traces.
 
@@ -116,7 +138,7 @@ class PowerModel:
         # Basis rows per ALU semantics / per textual class (+ its group);
         # keys are bounded by the instruction set.
         self._aluop_rows: Dict[str, int] = {}
-        self._class_rows: Dict[str, Tuple[int, ...]] = {}
+        self._class_rows: Dict[str, Tuple[Tuple[int, ...], Tuple[float, ...]]] = {}
         self._build_envelopes()
 
     # -- deterministic weight construction ---------------------------------
@@ -313,10 +335,15 @@ class PowerModel:
         add("word2", self._env_word2)
         for b in range(8):
             add(f"sreg{b}", self._sreg_bank[b])
-        self._build_port_terms()
+        self._resolve_term_rows()
 
-    def _build_port_terms(self) -> None:
-        """Per port, per register: the (rows, weights) of its address decode."""
+    def _resolve_term_rows(self) -> None:
+        """Resolve every fixed term's basis row for :meth:`_execute_terms`.
+
+        Per port and register: the (rows, weights) of its address decode.
+        The rows of :data:`_TERM_KEYS` and of each memory-access kind.
+        Per toggled-SREG mask: one row per set bit, lowest bit first.
+        """
         index = self._basis_index
         self._port_terms: Dict[str, List[Tuple[tuple, tuple]]] = {
             port: [
@@ -332,6 +359,21 @@ class PowerModel:
             ]
             for port in self._port_row_banks
         }
+        self._read_port_terms = (
+            self._port_terms["read_a"], self._port_terms["read_b"]
+        )
+        self._term_rows = tuple(index[key] for key in _TERM_KEYS)
+        self._mem_rows = {
+            kind: index[component] for kind, component in _MEM_COMPONENTS.items()
+        }
+        sreg_rows = [index[f"sreg{b}"] for b in range(8)]
+        self._sreg_terms = tuple(
+            (
+                tuple(sreg_rows[b] for b in range(8) if (mask >> b) & 1),
+                (1.0,) * _popcount(mask),
+            )
+            for mask in range(256)
+        )
 
     def _basis_row(self, key: str, factory: Callable[[], np.ndarray]) -> int:
         """Index of a (possibly dynamic) basis row, appending on first use."""
@@ -436,109 +478,145 @@ class PowerModel:
         coeff[1:n, index["fetch_hd"]] += cfg.flash_hd_scale * toggles.sum(axis=1)
 
     def _execute_terms(
-        self, event: ExecEvent, rows: List[int], weights: List[float]
-    ) -> None:
-        """Append one event's execute-stage terms to ``rows``/``weights``.
+        self, events: Sequence[ExecEvent]
+    ) -> Tuple[List[int], List[float], List[int]]:
+        """Every event's execute-stage terms, as ``(rows, weights, ends)``.
 
-        Each ``(row, weight)`` pair is one physical term of the cycle's
+        Each ``(row, weight)`` pair is one physical term of a cycle's
         activity, in a fixed order; the ``render_events`` test oracle
-        accumulates the same terms one waveform at a time.  Everything
-        that depends only on the instruction class (port basis rows,
-        ALU/class/group rows, unit flags) comes from caches whose keys
-        are bounded by the ISA.
+        accumulates the same terms one waveform at a time.  ``ends[i]`` is
+        the number of terms after event ``i``.  Everything that depends
+        only on the instruction class (port basis rows, ALU/class/group
+        rows, unit flags) comes from caches whose keys are bounded by the
+        ISA; fixed term rows are ints resolved once per model
+        (:meth:`_resolve_term_rows`) and bound to locals once per call.
         """
+        rows: List[int] = []
+        weights: List[float] = []
+        ends: List[int] = []
+        add_row, add_weight = rows.append, weights.append
+        add_rows, add_weights = rows.extend, weights.extend
         cfg = self.config
-        index = self._basis_index
-        if event.skipped:
-            # Pipeline bubble: flush residue only.
-            rows.append(index["comp|skip"])
-            weights.append(0.30)
-            return
+        data_hw, data_hd, flash_hw = (
+            cfg.data_hw_scale, cfg.data_hd_scale, cfg.flash_hw_scale
+        )
+        (
+            skip_row, branch_row, bit_unit_row, regfile_read_row,
+            regfile_write_row, alu_row, op_a_row, op_b_row, result_row,
+            mem_addr_row, mem_data_row, word2_row,
+        ) = self._term_rows
+        read_port_terms = self._read_port_terms
+        write_port_terms = self._port_terms["write"]
+        operand_rows = (op_a_row, op_b_row)
+        aluop_rows = self._aluop_rows
+        mem_rows = self._mem_rows
+        sreg_terms = self._sreg_terms
+        class_terms_of = self._class_rows
+        for event in events:
+            if event.skipped:
+                # Pipeline bubble: flush residue only.
+                add_row(skip_row)
+                add_weight(0.30)
+                ends.append(len(rows))
+                continue
 
-        canonical = event.canonical
-        semantics = canonical.spec.semantics
-        port_slots, skip_unit, bit_unit = _CANONICAL_SHAPE[canonical.spec.key]
-
-        # Register-file address decode: the AVR register file decodes the
-        # opcode's d/r fields on both read ports every cycle, regardless
-        # of whether the operation consumes the data — so port activity
-        # is keyed on operand *addresses*, not on semantic reads.
-        for port, slot in zip(("read_a", "read_b"), port_slots):
-            port_rows, port_weights = self._port_terms[port][canonical.values[slot]]
-            rows.extend(port_rows)
-            weights.extend(port_weights)
-        if event.reads:
-            rows.append(index["comp|regfile_read"])
-            weights.append(1.0)
-            for read in event.reads[:2]:
-                rows.append(index["op_a"])
-                weights.append(cfg.data_hw_scale * _popcount(read.value))
-        if event.writes:
-            rows.append(index["comp|regfile_write"])
-            weights.append(1.0)
-            write = event.writes[0]
-            port_rows, port_weights = self._port_terms["write"][write.reg]
-            rows.extend(port_rows)
-            weights.extend(port_weights)
-            rows.append(index["result"])
-            weights.append(cfg.data_hd_scale * _popcount(write.old ^ write.new))
-        if event.alu_result is not None or event.alu_operands:
-            row = self._aluop_rows.get(semantics)
-            if row is None:
-                row = self._aluop_rows[semantics] = self._basis_row(
-                    f"aluop|{semantics}", lambda: self._aluop_signature(semantics)
-                )
-            rows.append(index["comp|alu"])
-            weights.append(1.0)
-            rows.append(row)
-            weights.append(1.0)
-            for key, value in zip(("op_a", "op_b"), event.alu_operands):
-                rows.append(index[key])
-                weights.append(cfg.data_hw_scale * _popcount(value))
-            if event.alu_result is not None:
-                rows.append(index["result"])
-                weights.append(cfg.data_hw_scale * _popcount(event.alu_result))
-        for access in event.mem:
-            component = _MEM_COMPONENTS.get(access.kind)
-            if component is not None:
-                rows.append(index[component])
-                weights.append(1.0)
-            rows.append(index["mem_addr"])
-            weights.append(cfg.data_hw_scale * _popcount(access.address & 0xFF))
-            rows.append(index["mem_data"])
-            weights.append(cfg.data_hw_scale * _popcount(access.value))
-        if event.branch_taken is not None:
-            if skip_unit:
-                rows.append(index["comp|skip"])
-                weights.append(1.0 if event.branch_taken else 0.55)
-            else:
-                rows.append(index["comp|branch"])
-                weights.append(1.0 if event.branch_taken else 0.45)
-        if bit_unit:
-            rows.append(index["comp|bit_unit"])
-            weights.append(1.0)
-        toggled = event.sreg_toggled
-        if toggled:
-            for b in range(8):
-                if (toggled >> b) & 1:
-                    rows.append(index[f"sreg{b}"])
-                    weights.append(1.0)
-        if len(event.opcode_words) > 1:
-            # Second word of a 32-bit instruction is fetched while executing.
-            rows.append(index["word2"])
-            weights.append(cfg.flash_hw_scale * _popcount(event.opcode_words[1]))
-        # Control-path residues keyed on the *textual* class and its
-        # Table 2 group, not the canonical encoding.  Physically,
-        # ``TST r5`` and ``AND r5, r5`` share one opcode, but the paper's
-        # near-perfect separation of groups containing aliases implies its
-        # templates treat every profiled class as having a distinct
-        # signature; we model that explicitly (see DESIGN.md §2).
-        spec = event.instruction.spec
-        class_rows = self._class_rows.get(spec.key)
-        if class_rows is None:
-            class_rows = self._class_rows[spec.key] = self._new_class_rows(spec)
-        rows.extend(class_rows)
-        weights.extend((1.0,) * len(class_rows))
+            canonical = event.canonical
+            port_slots, skip_unit, bit_unit = _CANONICAL_SHAPE[canonical.spec.key]
+            # Register-file address decode: the AVR register file decodes
+            # the opcode's d/r fields on both read ports every cycle,
+            # regardless of whether the operation consumes the data — so
+            # port activity is keyed on operand *addresses*, not on
+            # semantic reads.
+            values = canonical.values
+            for port_terms, slot in zip(read_port_terms, port_slots):
+                port_rows, port_weights = port_terms[values[slot]]
+                add_rows(port_rows)
+                add_weights(port_weights)
+            reads = event.reads
+            if reads:
+                add_row(regfile_read_row)
+                add_weight(1.0)
+                for read in reads[:2]:
+                    add_row(op_a_row)
+                    add_weight(data_hw * _popcount(read.value))
+            writes = event.writes
+            if writes:
+                add_row(regfile_write_row)
+                add_weight(1.0)
+                write = writes[0]
+                port_rows, port_weights = write_port_terms[write.reg]
+                add_rows(port_rows)
+                add_weights(port_weights)
+                add_row(result_row)
+                add_weight(data_hd * _popcount(write.old ^ write.new))
+            alu_result = event.alu_result
+            alu_operands = event.alu_operands
+            if alu_result is not None or alu_operands:
+                semantics = canonical.spec.semantics
+                row = aluop_rows.get(semantics)
+                if row is None:
+                    row = aluop_rows[semantics] = self._basis_row(
+                        f"aluop|{semantics}",
+                        lambda: self._aluop_signature(semantics),
+                    )
+                add_row(alu_row)
+                add_weight(1.0)
+                add_row(row)
+                add_weight(1.0)
+                for row, value in zip(operand_rows, alu_operands):
+                    add_row(row)
+                    add_weight(data_hw * _popcount(value))
+                if alu_result is not None:
+                    add_row(result_row)
+                    add_weight(data_hw * _popcount(alu_result))
+            for access in event.mem:
+                row = mem_rows.get(access.kind)
+                if row is not None:
+                    add_row(row)
+                    add_weight(1.0)
+                add_row(mem_addr_row)
+                add_weight(data_hw * _popcount(access.address & 0xFF))
+                add_row(mem_data_row)
+                add_weight(data_hw * _popcount(access.value))
+            taken = event.branch_taken
+            if taken is not None:
+                if skip_unit:
+                    add_row(skip_row)
+                    add_weight(1.0 if taken else 0.55)
+                else:
+                    add_row(branch_row)
+                    add_weight(1.0 if taken else 0.45)
+            if bit_unit:
+                add_row(bit_unit_row)
+                add_weight(1.0)
+            toggled = event.sreg_before ^ event.sreg_after
+            if toggled:
+                sreg_rows, sreg_weights = sreg_terms[toggled & 0xFF]
+                add_rows(sreg_rows)
+                add_weights(sreg_weights)
+            opcode_words = event.opcode_words
+            if len(opcode_words) > 1:
+                # Second word of a 32-bit instruction, fetched while
+                # executing.
+                add_row(word2_row)
+                add_weight(flash_hw * _popcount(opcode_words[1]))
+            # Control-path residues keyed on the *textual* class and its
+            # Table 2 group, not the canonical encoding.  Physically,
+            # ``TST r5`` and ``AND r5, r5`` share one opcode, but the
+            # paper's near-perfect separation of groups containing aliases
+            # implies its templates treat every profiled class as having
+            # a distinct signature; we model that explicitly (see
+            # DESIGN.md §2).
+            spec = event.instruction.spec
+            class_terms = class_terms_of.get(spec.key)
+            if class_terms is None:
+                class_rows = self._new_class_rows(spec)
+                class_terms = (class_rows, (1.0,) * len(class_rows))
+                class_terms_of[spec.key] = class_terms
+            add_rows(class_terms[0])
+            add_weights(class_terms[1])
+            ends.append(len(rows))
+        return rows, weights, ends
 
     def _new_class_rows(self, spec) -> Tuple[int, ...]:
         """Basis rows of a class's residue and of its group's, in that order."""
@@ -570,12 +648,7 @@ class PowerModel:
         # Execute pass (may append dynamic basis rows, so the dense
         # matrix is sized only after all events are visited).  Event i
         # executes in cycle i + 1; cycle 0 is the leading pad.
-        rows: List[int] = []
-        weights: List[float] = []
-        ends = []
-        for event in events:
-            self._execute_terms(event, rows, weights)
-            ends.append(len(rows))
+        rows, weights, ends = self._execute_terms(events)
         if self._basis_matrix is None:
             self._basis_matrix = np.stack(self._basis_rows)
         basis = self._basis_matrix
@@ -585,14 +658,21 @@ class PowerModel:
         # bincount adds each cell's weights in input order, as the
         # per-term loop it replaces did, so the sums are bit-identical.
         coeff = np.bincount(
-            cycles * n_basis + np.array(rows, dtype=np.intp),
-            weights=np.array(weights, dtype=np.float64),
+            cycles * n_basis + np.fromiter(rows, dtype=np.intp, count=len(rows)),
+            weights=np.fromiter(weights, dtype=np.float64, count=len(weights)),
             minlength=(n + 1) * n_basis,
         ).reshape(n + 1, n_basis)
         self._add_fetch_terms(coeff, events)
-        trace = np.tile(self._clock, n + 2)
-        trace[: (n + 1) * spc] += (coeff @ basis).ravel()
-        return self.device.gain * trace + self.device.offset
+        # Every cycle is its terms plus the clock feedthrough; the
+        # trailing pad cycle is the clock alone.
+        cycles_out = np.empty((n + 2, spc))
+        np.matmul(coeff, basis, out=cycles_out[: n + 1])
+        cycles_out[n + 1] = 0.0
+        cycles_out += self._clock
+        trace = cycles_out.ravel()
+        trace *= self.device.gain
+        trace += self.device.offset
+        return trace
 
     def window(self, trace: np.ndarray, index: int) -> np.ndarray:
         """Profiling window of instruction ``index`` within a rendered trace."""

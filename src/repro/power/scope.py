@@ -57,18 +57,27 @@ class Oscilloscope:
             rng: noise generator; omit for a noise-free capture.
 
         Returns:
-            float32 digitized trace, same length as ``analog``.
+            float32 digitized trace, same length as ``analog``.  ``analog``
+            itself is left as it was: every step after the filter works in
+            place on the filter's output, and the noise is added into the
+            freshly drawn noise array.
         """
         trace = np.asarray(analog, dtype=np.float64)
         if rng is not None and self.noise_sigma > 0.0:
-            trace = trace + rng.normal(0.0, self.noise_sigma, trace.shape)
+            noisy = rng.normal(0.0, self.noise_sigma, trace.shape)
+            noisy += trace
+            trace = noisy
         b, a = self._filter_ba
         trace = signal.filtfilt(b, a, trace)
         low, high = self.full_scale
         levels = (1 << self.adc_bits) - 1
         step = (high - low) / levels
-        trace = np.clip(trace, low, high)
-        trace = np.round((trace - low) / step) * step + low
+        np.clip(trace, low, high, out=trace)
+        trace -= low
+        trace /= step
+        np.round(trace, out=trace)
+        trace *= step
+        trace += low
         return trace.astype(np.float32)
 
     def trigger_offsets(self, rng: np.random.Generator, n: int) -> np.ndarray:

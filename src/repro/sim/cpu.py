@@ -963,6 +963,10 @@ class AvrCpu:
         self.halted = False
         self.cycle_count = 0
         self._skip_next = False
+        # Flash window (up to two words) -> (instruction, n_words,
+        # canonical, opcode_words, handler).  Scoped to this core: it
+        # dies with the capture that built it.
+        self._decoded: Dict[Tuple[int, ...], tuple] = {}
         # Scratch used by ALU handlers within one step.
         self._rd_old = 0
         self._rr_old = 0
@@ -990,22 +994,32 @@ class AvrCpu:
     def step(self) -> ExecEvent:
         """Execute one instruction and return its event record.
 
+        What the flash window at the PC decodes to — the instruction, its
+        size, canonical form, opcode words and semantics handler — is
+        memoized per window on this core, so a loop body or a repeated
+        encoding is decoded once.  The memo keys on the words themselves,
+        not the PC, and lives only as long as the core.
+
         Raises:
             ProgramEnd: when the PC has run past the end of flash or the
                 core has executed ``BREAK``.
         """
-        if self.halted or self.state.pc >= len(self.flash):
-            raise ProgramEnd(f"pc=0x{self.state.pc:04X}")
-        pc = self.state.pc
-        instruction, n_words = decode_one(self.flash[pc:pc + 2])
-        canonical = canonicalize(instruction)
-        opcode_words = tuple(self.flash[pc:pc + n_words])
+        state = self.state
+        pc = state.pc
+        flash = self.flash
+        if self.halted or pc >= len(flash):
+            raise ProgramEnd(f"pc=0x{pc:04X}")
+        window = tuple(flash[pc:pc + 2])
+        decoded = self._decoded.get(window)
+        if decoded is None:
+            decoded = self._decoded[window] = self._decode_window(window)
+        instruction, n_words, canonical, opcode_words, handler = decoded
         self._next_pc = pc + n_words
-        sreg_before = self.state.sreg
+        sreg_before = state.sreg
 
         if self._skip_next:
             self._skip_next = False
-            self.state.pc = self._next_pc
+            state.pc = self._next_pc
             cycles = n_words  # skipping a 2-word instruction costs 2 cycles
             self.cycle_count += cycles
             return ExecEvent(
@@ -1019,14 +1033,10 @@ class AvrCpu:
                 canonical=canonical,
             )
 
-        handler = _EXEC.get(canonical.spec.semantics)
-        if handler is None:  # pragma: no cover - table completeness guard
-            raise NotImplementedError(f"no semantics for {canonical.spec.key}")
         out = handler(self, canonical.values)
-
         cycles = instruction.spec.cycles + out.pop("extra_cycles", 0)
         next_pc = out.pop("next_pc", self._next_pc)
-        self.state.pc = next_pc & 0xFFFF
+        state.pc = next_pc & 0xFFFF
         self.cycle_count += cycles
         return ExecEvent(
             instruction=instruction,
@@ -1034,10 +1044,20 @@ class AvrCpu:
             opcode_words=opcode_words,
             cycles=cycles,
             sreg_before=sreg_before,
-            sreg_after=self.state.sreg,
+            sreg_after=state.sreg,
             canonical=canonical,
             **out,
         )
+
+    @staticmethod
+    def _decode_window(window: Tuple[int, ...]) -> tuple:
+        """Decode one flash window into the memo entry :meth:`step` uses."""
+        instruction, n_words = decode_one(window)
+        canonical = canonicalize(instruction)
+        handler = _EXEC.get(canonical.spec.semantics)
+        if handler is None:  # pragma: no cover - table completeness guard
+            raise NotImplementedError(f"no semantics for {canonical.spec.key}")
+        return instruction, n_words, canonical, window[:n_words], handler
 
     def run(self, max_steps: Optional[int] = None) -> List[ExecEvent]:
         """Run to the end of flash (or ``max_steps``), collecting events."""

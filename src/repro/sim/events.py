@@ -6,46 +6,68 @@ ALU, memory, SREG and branch activity) is computed from an
 :class:`ExecEvent`, so the power trace depends on *what the core actually
 did* — operand values, old register contents, taken branches — exactly as
 the physical side channel does.
+
+The core emits one :class:`ExecEvent` per executed instruction, so the
+records are immutable named tuples: building one costs a fraction of a
+frozen dataclass, and the power model reads their fields at slot speed.
+Equality is by record type *and* fields, as for a dataclass: an event
+never equals a plain tuple or a record of another type with the same
+values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..isa.assembler import Instruction
 
 __all__ = ["ExecEvent", "MemAccess", "RegRead", "RegWrite"]
 
 
-@dataclass(frozen=True)
-class RegRead:
+def _record_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return not _record_eq(self, other)
+
+
+class RegRead(NamedTuple):
     """One register-file read port activation."""
 
     reg: int
     value: int
 
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class RegWrite:
+
+class RegWrite(NamedTuple):
     """One register-file write; ``old`` enables Hamming-distance terms."""
 
     reg: int
     old: int
     new: int
 
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class MemAccess:
+
+class MemAccess(NamedTuple):
     """A data-space / program-space access performed in the execute stage."""
 
     kind: str  #: ``"load"``, ``"store"``, ``"flash"`` or ``"io"``
     address: int
     value: int
 
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True)
-class ExecEvent:
+
+class ExecEvent(NamedTuple):
     """Everything the power model needs about one executed instruction.
 
     Attributes:
@@ -83,6 +105,10 @@ class ExecEvent:
     branch_taken: Optional[bool] = None
     skipped: bool = False
     canonical: Optional[Instruction] = None
+
+    __eq__ = _record_eq
+    __ne__ = _record_ne
+    __hash__ = tuple.__hash__
 
     @property
     def key(self) -> str:

@@ -378,6 +378,27 @@ class TestCampaignRun:
         assert all(0.5 * 0.75 <= s <= 1.0 * 1.25 for s in slept)
 
 
+    def test_registry_entry_waits_the_backoff_knob(
+        self, tmp_path, monkeypatch
+    ):
+        """``python -m repro.experiments campaign`` runs ``campaign.run``."""
+        import time
+
+        first = default_grid("smoke").enumerate()[0][0].cell_id
+        monkeypatch.setitem(
+            campaign.EVALUATORS, "synthetic",
+            FlakyEvaluator(tmp_path, {first: 1}),
+        )
+        monkeypatch.setenv("REPRO_CAMPAIGN_BACKOFF", "0.5")
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        table = campaign.run("smoke")
+        assert {row["status"] for row in table.rows} == {"completed"}
+        # One retry round for the one failing cell, waited once.
+        assert len(slept) == 1
+        assert 0.5 * 0.75 <= slept[0] <= 0.5 * 1.25
+
+
 class TestParetoReport:
     def test_pareto_front_drops_dominated_points(self):
         points = [

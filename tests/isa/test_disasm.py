@@ -12,7 +12,6 @@ from repro.isa import (
     disassemble_text,
 )
 from repro.isa import disasm
-from repro.isa.assembler import Instruction
 from repro.isa.specs import DECODE_ORDER
 from repro.power.acquisition import random_instance
 from tests.oracles import decode_one as oracle_decode_one

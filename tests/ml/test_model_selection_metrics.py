@@ -6,7 +6,6 @@ import pytest
 from repro.ml import (
     GridSearch,
     LDA,
-    QDA,
     SVC,
     accuracy_score,
     classification_report,

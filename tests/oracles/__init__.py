@@ -16,6 +16,9 @@ Oracle                   Fast path it checks
 ``cwt_transform``        ``repro.dsp.cwt.CWT.transform``
 ``point_operator``       ``repro.dsp.cwt.CWT.point_operator``
 ``decode_one``           ``repro.isa.disasm.decode_one``
+``encode``               ``repro.isa.assembler.Instruction.encode``
+``cpu_step``,            ``repro.sim.cpu.AvrCpu.step``, ``AvrCpu.run``
+``cpu_run``              (per-core decode memo)
 ``add8``, ``sub8``,      ``repro.sim.cpu._add8``, ``_sub8``,
 ``logic_flags``          ``_logic_flags`` (one packed SREG write)
 ``set_flags``            ``repro.sim.state.CpuState.set_flags``
@@ -36,19 +39,24 @@ Oracle                   Fast path it checks
 
 from .cwt import cwt_transform, point_operator
 from .decode import decode_one
+from .encode import encode
 from .flags import add8, logic_flags, set_flags, sub8
 from .hierarchy import predict_instructions
 from .kl import dnvp_fit, within_class_kl
 from .ovo import ovo_fit, ovo_predict, ovo_vote_matrix
 from .render import render_events
 from .stats import wavelet_stats
+from .step import cpu_run, cpu_step
 from .voting import voting_pair_points, voting_predict
 
 __all__ = [
     "add8",
+    "cpu_run",
+    "cpu_step",
     "cwt_transform",
     "decode_one",
     "dnvp_fit",
+    "encode",
     "logic_flags",
     "ovo_fit",
     "ovo_predict",

@@ -13,10 +13,13 @@ import numpy as np
 from repro.power.model import (
     _BIT_SEMANTICS,
     _SKIP_SEMANTICS,
-    _popcount,
     _register_operands,
 )
 from repro.sim.cpu import canonicalize
+
+
+def _popcount(value: int) -> int:
+    return bin(value & 0xFFFFFFFF).count("1")
 
 
 def _fetch_activity(model, words, prev_words) -> np.ndarray:

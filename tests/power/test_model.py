@@ -137,3 +137,13 @@ class TestDeviceVariation:
         d2 = DeviceProfile.sample("b", rng, component_names=("alu",))
         assert d1.gain != d2.gain
         assert d1.weight_jitter_seed != d2.weight_jitter_seed
+
+
+def test_popcount_table_matches_bin_on_any_int():
+    from repro.power.model import _popcount
+
+    values = list(range(-300, 300)) + [
+        0xFFFF, 0x10000, 0x1FFFF, 0xFFFFFFFF, 0x1_0000_0001, -(1 << 40) - 7,
+    ]
+    for value in values:
+        assert _popcount(value) == bin(value & 0xFFFFFFFF).count("1")

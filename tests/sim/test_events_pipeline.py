@@ -1,11 +1,20 @@
 """Event records and pipeline pairing."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import REGISTRY
 from repro.power.acquisition import random_instance
-from repro.sim import AvrCpu, canonicalize, pipeline_slots
+from repro.sim import (
+    AvrCpu,
+    ExecEvent,
+    MemAccess,
+    RegRead,
+    RegWrite,
+    canonicalize,
+    pipeline_slots,
+)
 
 
 class TestEvents:
@@ -103,3 +112,27 @@ def test_property_every_class_executes(seed):
         cpu.state.z = 0x0400
         event = cpu.step()
         assert event.cycles >= 1
+
+
+class TestEventRecords:
+    def test_defaults_and_derived_fields(self):
+        event = AvrCpu("nop").step()
+        assert event.reads == () and event.writes == () and event.mem == ()
+        assert event.alu_result is None and event.branch_taken is None
+        assert event.skipped is False and event.key == "NOP"
+        assert event.sreg_toggled == 0
+
+    def test_equality_is_by_type_and_fields(self):
+        assert RegRead(1, 2) == RegRead(1, 2)
+        assert RegRead(1, 2) != RegRead(1, 3)
+        assert RegRead(1, 2) != (1, 2) and not RegRead(1, 2) == (1, 2)
+        assert RegWrite(1, 2, 3) != MemAccess(1, 2, 3)
+        assert hash(RegWrite(1, 2, 3)) == hash(RegWrite(1, 2, 3))
+        a, b = AvrCpu("add r0, r1").step(), AvrCpu("add r0, r1").step()
+        assert a == b and ExecEvent(*a) == a
+        assert a != tuple(a)
+
+    def test_records_are_immutable(self):
+        event = AvrCpu("nop").step()
+        with pytest.raises(AttributeError):
+            event.pc = 3

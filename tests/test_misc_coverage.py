@@ -1,7 +1,6 @@
 """Coverage for small public helpers not exercised elsewhere."""
 
 import numpy as np
-import pytest
 
 from repro.core.malware import GoldenReference
 from repro.core.sequence import SequenceDisassembler
@@ -75,7 +74,6 @@ class TestWorkloadHelpers:
             FeatureConfig(kl_threshold="auto:0.9", n_components=5),
             classifier_factory=QDA,
         )
-        from repro.power.acquisition import random_instance
         from repro.power.dataset import TraceSet
 
         w1, p1 = acq.capture_class("ADD", 24, 2)

@@ -1,8 +1,16 @@
-"""Experiment runners regenerating every table and figure of the paper."""
+"""Experiment runners regenerating every table and figure of the paper.
+
+:mod:`repro.experiments.campaign` is not imported here: it runs as
+``python -m repro.experiments.campaign``, and a package that imported it
+first would make runpy execute it a second time as ``__main__`` (with a
+``RuntimeWarning``).  ``repro.experiments.campaign`` still resolves as
+an attribute, on first use.
+"""
+
+import importlib
 
 from . import (
     ablations,
-    campaign,
     endtoend,
     fig1,
     fig2,
@@ -41,7 +49,6 @@ __all__ = [
     "SMOKE",
     "Scale",
     "ablations",
-    "campaign",
     "checkpoint_store",
     "csa_config_full",
     "csa_config_nonorm",
@@ -66,3 +73,9 @@ __all__ = [
     "table3",
     "table4",
 ]
+
+
+def __getattr__(name: str):
+    if name == "campaign":
+        return importlib.import_module(f"{__name__}.campaign")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,7 @@ alias relationship are data; :mod:`repro.isa.encoding` does the bit work and
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -120,6 +121,16 @@ class InstructionSpec:
             )
             operands.append((field_table(spec_op.kind, complement), runs))
         return tuple(words), tuple(operands)
+
+    def __reduce__(self):
+        # Pickle as a registry reference: the spec's mapping fields
+        # (read-only proxies) cannot be pickled, and loading re-attaches
+        # to the shared registry entry.
+        if REGISTRY.get(self.key) is not self:
+            raise pickle.PicklingError(
+                f"instruction spec {self.key!r} is not the registry's"
+            )
+        return (spec_for, (self.key,))
 
     @property
     def n_words(self) -> int:

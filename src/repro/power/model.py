@@ -70,15 +70,6 @@ _PORT_KINDS = (
 )
 
 
-def _register_operands(instruction) -> tuple:
-    """Register addresses in operand order (port A first, port B second)."""
-    return tuple(
-        value
-        for operand, value in zip(instruction.spec.operands, instruction.values)
-        if operand.kind in _PORT_KINDS
-    )
-
-
 #: Canonical class key -> (operand slots driving read ports A and B, skip
 #: unit?, bit-manipulation unit?): the execute terms fixed by the ISA.
 _CANONICAL_SHAPE: Dict[str, Tuple[Tuple[int, ...], bool, bool]] = {

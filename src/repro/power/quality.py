@@ -184,12 +184,17 @@ def _max_equal_run(windows: np.ndarray) -> np.ndarray:
     """Longest run of exactly-equal consecutive samples, per row."""
     if windows.shape[1] < 2:
         return np.ones(len(windows), dtype=np.int64)
-    equal = windows[:, 1:] == windows[:, :-1]
-    streak = np.zeros(len(windows), dtype=np.int64)
-    best = np.zeros(len(windows), dtype=np.int64)
-    for column in range(equal.shape[1]):
-        streak = (streak + 1) * equal[:, column]
-        np.maximum(best, streak, out=best)
+    n = len(windows)
+    # Runs of equal neighbours, bounded by False on both ends: +1 marks
+    # where a run starts and -1 where it ends, in row-major order, so
+    # the k-th start and the k-th end belong to the same run.
+    bounded = np.zeros((n, windows.shape[1] + 1), dtype=np.int8)
+    bounded[:, 1:-1] = windows[:, 1:] == windows[:, :-1]
+    edges = np.diff(bounded, axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    _, ends = np.nonzero(edges == -1)
+    best = np.zeros(n, dtype=np.int64)
+    np.maximum.at(best, rows, ends - starts)
     return best + 1
 
 

@@ -1,9 +1,11 @@
 """Equivalence and caching tests for the vectorized CWT fast path.
 
-The fast path routes scales through three kernels (full-grid inverse FFT,
-short-grid inverse FFT, narrowband GEMM); every test here pins it against
-the ``cwt_transform`` oracle — the seed's per-scale full-grid loop — at
-the acceptance tolerance (atol 1e-5).
+The fast path routes scales through three kernels (a Toeplitz GEMM for
+the Nyquist-tail scales, one complex inverse FFT per scale on a short
+grid, and narrowband GEMMs); every test here pins the whole transform
+against the ``cwt_transform`` oracle — the seed's per-scale full-grid
+loop — at the acceptance tolerance (atol 1e-5).  ``test_cwt_kernels.py``
+runs each kernel on its own.
 """
 
 import numpy as np

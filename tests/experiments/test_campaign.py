@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -454,3 +456,31 @@ class TestObsIntegration:
             assert snapshot["campaign.cells_completed"]["value"] == 14
             assert snapshot["campaign.cells_quarantined"]["value"] == 2
             assert snapshot["campaign.cell_retries"]["value"] == 4
+
+
+def test_module_entry_point_runs_once():
+    """``python -m repro.experiments.campaign`` does not re-execute the module.
+
+    The package imports the module lazily, so runpy finds it absent from
+    ``sys.modules`` and raises no "found in sys.modules" warning.
+    """
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)  # replint: disable=REP001 -- passed through to a subprocess verbatim, no knob is read
+    env["PYTHONPATH"] = str(src)
+    result = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning",
+            "-m", "repro.experiments.campaign", "--help",
+        ],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage" in result.stdout
+
+
+def test_package_resolves_campaign_lazily():
+    import repro.experiments as experiments
+
+    assert experiments.campaign is campaign
+    with pytest.raises(AttributeError):
+        experiments.no_such_runner

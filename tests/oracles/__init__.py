@@ -23,6 +23,7 @@ Oracle                   Fast path it checks
 ``logic_flags``          ``_logic_flags`` (one packed SREG write)
 ``set_flags``            ``repro.sim.state.CpuState.set_flags``
 ``render_events``        ``repro.power.model.PowerModel.render_events``
+``max_equal_run``        ``repro.power.quality._max_equal_run``
 ``within_class_kl``      ``repro.features.kl.within_class_kl``
 ``wavelet_stats``        ``repro.features.kl.WaveletStats.stream`` (and
                          ``from_images``, ``compute_class_stats``)
@@ -44,6 +45,7 @@ from .flags import add8, logic_flags, set_flags, sub8
 from .hierarchy import predict_instructions
 from .kl import dnvp_fit, within_class_kl
 from .ovo import ovo_fit, ovo_predict, ovo_vote_matrix
+from .quality import max_equal_run
 from .render import render_events
 from .stats import wavelet_stats
 from .step import cpu_run, cpu_step
@@ -58,6 +60,7 @@ __all__ = [
     "dnvp_fit",
     "encode",
     "logic_flags",
+    "max_equal_run",
     "ovo_fit",
     "ovo_predict",
     "ovo_vote_matrix",

@@ -40,25 +40,17 @@ def cwt_transform(cwt, traces: np.ndarray) -> np.ndarray:
 def point_operator(cwt, points) -> np.ndarray:
     """The formulation :meth:`repro.dsp.cwt.CWT.point_operator` is held to.
 
-    Column by column, in float64, straight from the stage plan: the
-    trace-to-spectrum factor ``e^{-2πi b m/n}`` as an explicit matrix,
-    times each point's inverse weights ``w[b]·e^{2πi b k/n}`` — every
-    twiddle evaluated by ``exp``, no lag kernel.
+    Column by column, in float64, straight from each scale's planned
+    grid and inverse weights (``cwt._weights``): the trace-to-spectrum
+    factor ``e^{-2πi b m/n}`` as an explicit matrix, times each point's
+    inverse weights ``w[b]·e^{2πi b k/n}`` — every twiddle evaluated by
+    ``exp``, no lag kernel.
     """
     points = [(int(j), int(k)) for j, k in points]
     operator = np.zeros((cwt.n_samples, len(points)), dtype=np.complex128)
     m = np.arange(cwt.n_samples)
-    grids = [
-        (stage.n_fft, j, 0, (2.0 / stage.n_fft) * row)
-        for stage in cwt._fft_stages
-        for j, row in zip(
-            stage.indices, cwt._fft_response(stage.n_fft, stage.indices)
-        )
-    ] + [
-        (cwt.n_fft, g.index, g.k_lo, cwt._gemm_response(g.index, g.k_lo, g.k_hi))
-        for g in cwt._gemm_stages
-    ]
-    for n_fft, j, k_lo, weights in grids:
+    for j in sorted({scale for scale, _ in points}):
+        n_fft, k_lo, weights = cwt._weights(j)
         bins = np.arange(k_lo, k_lo + len(weights))
         forward = np.exp((-2j * np.pi / n_fft) * np.outer(m, bins))
         for column, (scale, k) in enumerate(points):

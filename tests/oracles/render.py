@@ -10,12 +10,17 @@ floating-point summation order.
 
 import numpy as np
 
-from repro.power.model import (
-    _BIT_SEMANTICS,
-    _SKIP_SEMANTICS,
-    _register_operands,
-)
+from repro.power.model import _BIT_SEMANTICS, _PORT_KINDS, _SKIP_SEMANTICS
 from repro.sim.cpu import canonicalize
+
+
+def _register_operands(instruction) -> tuple:
+    """Register addresses in operand order (port A first, port B second)."""
+    return tuple(
+        value
+        for operand, value in zip(instruction.spec.operands, instruction.values)
+        if operand.kind in _PORT_KINDS
+    )
 
 
 def _popcount(value: int) -> int:

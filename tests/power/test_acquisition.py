@@ -1,6 +1,8 @@
 """Acquisition framework tests."""
 
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +60,21 @@ class TestRandomInstance:
         for key in REGISTRY:
             instance = random_instance(key, rng, word_address=4)
             instance.encode()  # must be a legal instruction
+
+    def test_every_class_pickles(self):
+        """An instance pickles its spec as a registry key."""
+        rng = np.random.default_rng(7)
+        for key, spec in REGISTRY.items():
+            instance = random_instance(key, rng, word_address=4)
+            loaded = pickle.loads(pickle.dumps(instance))
+            assert loaded.spec is spec
+            assert loaded == instance
+            assert loaded.encode() == instance.encode()
+
+    def test_unregistered_spec_refuses_to_pickle(self):
+        stray = dataclasses.replace(REGISTRY["ADD"], description="stray")
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(stray)
 
 
 class TestCaptureShapes:
@@ -129,6 +146,16 @@ class TestMixedAndProgramCapture:
         ]
 
     PROGRAM = "ldi r16, 3\nadd r16, r17\nlds r2, 0x0100\neor r2, r16"
+
+    def test_program_capture_pickles(self):
+        capture = Acquisition(seed=6).capture_program(self.PROGRAM)
+        loaded = pickle.loads(pickle.dumps(capture))
+        np.testing.assert_array_equal(loaded.windows, capture.windows)
+        assert loaded.instructions == capture.instructions
+        assert [i.encode() for i in loaded.instructions] == [
+            i.encode() for i in capture.instructions
+        ]
+        assert loaded.events == capture.events
 
     def test_program_forms_capture_identically(self):
         """Text, word list/tuple and instruction list seed the same capture."""

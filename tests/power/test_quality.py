@@ -13,6 +13,7 @@ from repro.power import (
     TraceScreener,
 )
 from repro.power.quality import ScreenReport, _max_equal_run
+from tests.oracles import max_equal_run
 
 CTX = FaultContext()
 
@@ -112,6 +113,21 @@ class TestDetectors:
             [[1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 6.0], [7.0, 7.0, 8.0, 8.0]]
         )
         np.testing.assert_array_equal(_max_equal_run(rows), [1, 3, 2])
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 315])
+    def test_max_equal_run_matches_oracle(self, length):
+        """Random integer batches: runs of any length, anywhere."""
+        rng = np.random.default_rng(length)
+        for levels in (2, 3, 8):
+            windows = rng.integers(0, levels, (40, length)).astype(np.float64)
+            windows[0] = 4.0  # all equal
+            windows[1, : length // 2] = 5.0  # run touching the start
+            windows[2, length // 2 :] = 6.0  # run touching the end
+            np.testing.assert_array_equal(
+                _max_equal_run(windows), max_equal_run(windows)
+            )
+        assert _max_equal_run(np.zeros((3, length))).tolist() == [length] * 3
+        assert _max_equal_run(np.zeros((0, length))).shape == (0,)
 
 
 class TestRetryPolicy:

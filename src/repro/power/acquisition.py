@@ -426,16 +426,29 @@ class Acquisition:
         with _obs.span("capture.render", n=len(events)):
             analog = self.model.render_events(events)
         with _obs.span("capture.scope", n=len(events)):
-            if shift is not None:
-                analog = shift.apply(analog, self.geometry.samples_per_cycle)
-            analog = self.session.apply(analog)
-            noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-            saved_sigma = self.scope.noise_sigma
-            try:
-                self.scope.noise_sigma = saved_sigma * self.session.noise_scale
-                return self.scope.digitize(analog, noise_rng)
-            finally:
-                self.scope.noise_sigma = saved_sigma
+            return self._scope(analog, rng, shift)
+
+    def _scope(
+        self,
+        analog: np.ndarray,
+        rng: np.random.Generator,
+        shift: Optional[ProgramShift],
+    ) -> np.ndarray:
+        """Shift, apply the session and digitize one rendered program.
+
+        The scope's noise is scaled by the session's ``noise_scale`` for
+        this trace only; the noise generator is the next draw of ``rng``.
+        """
+        if shift is not None:
+            analog = shift.apply(analog, self.geometry.samples_per_cycle)
+        analog = self.session.apply(analog)
+        noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
+        saved_sigma = self.scope.noise_sigma
+        try:
+            self.scope.noise_sigma = saved_sigma * self.session.noise_scale
+            return self.scope.digitize(analog, noise_rng)
+        finally:
+            self.scope.noise_sigma = saved_sigma
 
     def _windows(
         self,
@@ -879,11 +892,7 @@ class Acquisition:
             analog = self.model.render_events(events)
         with _obs.span("capture.scope", n=len(events)):
             shift = ProgramShift.sample(rng) if self.program_shift else None
-            if shift is not None:
-                analog = shift.apply(analog, self.geometry.samples_per_cycle)
-            analog = self.session.apply(analog)
-            noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-            trace = self.scope.digitize(analog, noise_rng)
+            trace = self._scope(analog, rng, shift)
         windows = self._windows(trace, list(range(len(events))), rng)
         if self.reference_subtraction:
             windows -= self.reference_window()

@@ -42,10 +42,13 @@ Worker-count resolution (:func:`resolve_n_jobs`):
 The fit leaves (CWT chunks, class-statistics column tiles) fan out on
 *threads* instead: :func:`run_threads` runs independent tasks that each
 write a disjoint slice of a preallocated output, so the result is
-bit-identical for any thread count.  Threads live for one call only and
-are joined before it returns, so a process that forks later (a capture
-pool, a campaign shard) is single-threaded when it forks; inside a pool
-worker :func:`usable_cores` is 1, so pools are never oversubscribed.
+bit-identical for any thread count.  The calling thread works too: it
+claims items from a shared counter next to ``workers - 1`` helper
+threads, so a call pays for starting one thread per extra core and no
+executor.  The helpers live for one call only and are joined before it
+returns, so a process that forks later (a capture pool, a campaign
+shard) is single-threaded when it forks; inside a pool worker
+:func:`usable_cores` is 1, so pools are never oversubscribed.
 Tasks that call BLAS thread only when :func:`blas_threads` is 1, so
 BLAS's own threads never run under ours.
 """
@@ -487,8 +490,8 @@ _BLAS_THREAD_PROBES = (
 
 
 @functools.lru_cache(maxsize=None)
-def _blas_thread_probe() -> Optional[Callable[[], int]]:
-    """NumPy's BLAS thread-count getter, or ``None`` if none is found."""
+def _blas_library():
+    """A ``ctypes`` handle that resolves NumPy's BLAS symbols, or ``None``."""
     import ctypes
 
     try:
@@ -497,8 +500,16 @@ def _blas_thread_probe() -> Optional[Callable[[], int]]:
         from numpy.core import _multiarray_umath as umath
     try:
         # dlsym on this handle also searches the libraries it links.
-        lib = ctypes.CDLL(umath.__file__)
+        return ctypes.CDLL(umath.__file__)
     except OSError:  # pragma: no cover - static or exotic builds
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_probe() -> Optional[Callable[[], int]]:
+    """NumPy's BLAS thread-count getter, or ``None`` if none is found."""
+    lib = _blas_library()
+    if lib is None:  # pragma: no cover - static or exotic builds
         return None
     for name in _BLAS_THREAD_PROBES:
         probe = getattr(lib, name, None)
@@ -531,18 +542,48 @@ def run_threads(
 ) -> None:
     """Call ``task(item)`` for every item on up to ``workers`` threads.
 
-    One worker runs the items inline, in order.  Otherwise the threads
-    live for this call only: they are joined before it returns, and the
-    first failing item's exception is re-raised.  ``task`` must only
-    write its own item's slice of shared output — then the result
-    cannot depend on the schedule.
+    One worker runs the items inline, in order.  Otherwise the calling
+    thread and ``workers - 1`` helper threads claim items in index
+    order from a shared counter; the helpers live for this call only
+    and are joined before it returns.  Once an item fails no further
+    item is claimed, and after the join the lowest-index failure is
+    re-raised.  ``task`` must only write its own item's slice of shared
+    output — then the result cannot depend on the schedule.
     """
-    if workers <= 1 or len(items) <= 1:
+    n_items = len(items)
+    if workers <= 1 or n_items <= 1:
         for item in items:
             task(item)
         return
-    from concurrent.futures import ThreadPoolExecutor
+    lock = threading.Lock()
+    claimed = 0
+    errors: Dict[int, BaseException] = {}
 
-    with ThreadPoolExecutor(min(workers, len(items))) as pool:
-        for future in [pool.submit(task, item) for item in items]:
-            future.result()
+    def work() -> None:
+        nonlocal claimed
+        while True:
+            with lock:
+                if errors or claimed == n_items:
+                    return
+                index = claimed
+                claimed += 1
+            try:
+                task(items[index])
+            except BaseException as exc:  # re-raised after the join
+                with lock:
+                    errors[index] = exc
+                return
+
+    helpers = [
+        threading.Thread(target=work, name=f"repro-fit-{i}")
+        for i in range(1, min(workers, n_items))
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]

@@ -9,6 +9,7 @@ pool that forks afterwards.
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -255,3 +256,65 @@ class TestRunThreads:
         with pytest.raises(ValueError, match="tile 3"):
             run_threads(task, range(20), 3)
         assert threading.active_count() == before
+
+    def test_calling_thread_runs_an_item(self):
+        # Each item waits for the other, so two threads run one each.
+        barrier = threading.Barrier(2, timeout=10)
+        runners = set()
+
+        def task(i):
+            barrier.wait()
+            runners.add(threading.get_ident())
+
+        run_threads(task, range(2), 2)
+        assert threading.get_ident() in runners
+        assert len(runners) == 2
+
+    def test_helpers_are_bounded_and_joined(self):
+        workers = 3
+        before = threading.active_count()
+        barrier = threading.Barrier(workers, timeout=10)
+        caller = threading.get_ident()
+        alive = []
+        finished = []
+
+        def task(i):
+            barrier.wait()
+            alive.append(threading.active_count())
+            if threading.get_ident() != caller:
+                time.sleep(0.05)  # helpers outlast the caller's share
+            finished.append(i)
+
+        run_threads(task, range(workers), workers)
+        assert max(alive) - before == workers - 1
+        assert sorted(finished) == list(range(workers))
+        assert threading.active_count() == before
+
+    def test_no_item_starts_after_a_failure(self):
+        barrier = threading.Barrier(2, timeout=10)
+        started = []
+
+        def task(i):
+            started.append(i)
+            if i < 2:
+                barrier.wait()
+            if i == 1:
+                raise ValueError("item 1")
+            if i == 0:
+                time.sleep(0.05)  # item 1 has failed when this returns
+
+        with pytest.raises(ValueError, match="item 1"):
+            run_threads(task, range(20), 2)
+        assert sorted(started) == [0, 1]
+
+    def test_lowest_index_error_wins(self):
+        barrier = threading.Barrier(2, timeout=10)
+
+        def task(i):
+            barrier.wait()
+            if i == 0:
+                time.sleep(0.05)  # item 1 fails first
+            raise ValueError(f"item {i}")
+
+        with pytest.raises(ValueError, match="item 0"):
+            run_threads(task, range(2), 2)

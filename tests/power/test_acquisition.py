@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from repro.isa import OperandKind, REGISTRY, assemble
-from repro.power import Acquisition, TraceSet, make_devices, random_instance
+from repro.power import (
+    Acquisition,
+    Oscilloscope,
+    SessionShift,
+    TraceSet,
+    make_devices,
+    random_instance,
+)
 from repro.power.acquisition import (
     DEFAULT_RD_POOL,
     DEFAULT_RR_POOL,
@@ -187,6 +194,23 @@ class TestMixedAndProgramCapture:
                 ).stdout
             )
         assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_session_noise_scale_reaches_both_scope_paths(self, monkeypatch):
+        """Profiling and deployment captures both scale the scope noise."""
+        acq = Acquisition(seed=6, session=SessionShift(noise_scale=1.7))
+        base = acq.scope.noise_sigma
+        sigmas = []
+        digitize = Oscilloscope.digitize
+
+        def spy(scope, *args, **kwargs):
+            sigmas.append(scope.noise_sigma)
+            return digitize(scope, *args, **kwargs)
+
+        monkeypatch.setattr(Oscilloscope, "digitize", spy)
+        acq.reference_window()  # the path every profiling capture takes
+        acq.capture_program(self.PROGRAM)  # the reference is cached now
+        assert sigmas == [pytest.approx(base * 1.7)] * 2
+        assert acq.scope.noise_sigma == base
 
     def test_reference_window_cached(self):
         acq = Acquisition(seed=7)

@@ -50,11 +50,11 @@ cheapest of three exact kernels:
    ``X @ [Re K | Im K]``, one real GEMM, costs less than two inverse
    FFTs of the long grid.  Exactly the tail scales take this kernel.
 
-FFTs go through :mod:`repro.dsp.backend` (SciPy pocketfft when
-available, ``numpy.fft`` otherwise), always single-threaded.  Arithmetic
-runs in single precision by default (``CwtConfig.precision``); against
-the float64 reference this is within ~1e-6 of the float32 output
-rounding.
+FFTs are ``numpy.fft``'s (single-threaded pocketfft).  Each thread
+inverts its chunks in place in one reused zero-padded workspace, so no
+chunk allocates its inverse grid.  Arithmetic runs in single precision
+by default (``CwtConfig.precision``); against the float64 reference
+this is within ~1e-6 of the float32 output rounding.
 
 :meth:`CWT.transform` splits a batch two ways.  The FFT stages run on
 cache-sized chunks of traces; the GEMM stages run on fixed
@@ -72,13 +72,13 @@ config)``; everything in the package that needs a CWT goes through it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import backend
 from ..obs import trace as _obs
 from ..util.knobs import get_float
 from ..util.parallel import run_threads, thread_workers
@@ -106,6 +106,35 @@ _BAND_SIGMA = 7.4
 _TAIL_THRESHOLD = 1e-5
 #: Nyquist response below which the band truncation itself is negligible.
 _NEGLIGIBLE_TAIL = 1e-12
+
+#: Per-thread inverse-FFT grids; see :func:`_inverse_grid`.
+_WORKSPACE = threading.local()
+#: Largest grid a thread keeps between calls.  A chunk's grid is about
+#: two thirds of :data:`_CACHE_TARGET_BYTES`; an unchunked
+#: ``transform_points`` batch may need more, and gets a grid of its own.
+_KEEP_GRID_BYTES = 2 * _CACHE_TARGET_BYTES
+
+
+def _inverse_grid(shape: Tuple[int, int, int], half: int, dtype) -> np.ndarray:
+    """This thread's ``shape`` complex grid, zero from bin ``half`` on.
+
+    One flat buffer per thread and dtype, reused across chunks, stages
+    and calls and grown to a power of two, so a chunk neither allocates
+    nor faults in its inverse grid.  Only the bins from ``half`` on are
+    zeroed: the caller writes the bins below.
+    """
+    buffers = getattr(_WORKSPACE, "buffers", None)
+    if buffers is None:
+        buffers = _WORKSPACE.buffers = {}
+    size = shape[0] * shape[1] * shape[2]
+    flat = buffers.get(dtype)
+    if flat is None or len(flat) < size:
+        flat = np.empty(1 << (size - 1).bit_length(), dtype)
+        if flat.nbytes <= _KEEP_GRID_BYTES:
+            buffers[dtype] = flat
+    grid = flat[:size].reshape(shape)
+    grid[:, :, half:] = 0.0
+    return grid
 
 
 @dataclass(frozen=True)
@@ -400,7 +429,7 @@ class CWT:
     # -- kernels -------------------------------------------------------------
     def _forward(self, batch: np.ndarray, n_fft: int) -> np.ndarray:
         """Half spectrum of a (n, n_samples) batch on an ``n_fft`` grid."""
-        return backend.rfft(batch, n=n_fft, axis=-1)
+        return np.fft.rfft(batch, n=n_fft, axis=-1)
 
     def _run_fft_stage(
         self, stage: _FftStage, spectrum: np.ndarray, target: np.ndarray
@@ -411,13 +440,17 @@ class CWT:
         step = 2 * (spectrum.shape[1] - 1) // stage.n_fft
         if step > 1:
             spectrum = spectrum[:, ::step]
-        product = spectrum[:, None, :] * stage.response[None, :, :]
+        rows, half = spectrum.shape
+        shape = (rows, stage.hi - stage.lo, stage.n_fft)
+        grid = _inverse_grid(shape, half, spectrum.dtype)
+        product = grid[:, :, :half]
+        np.multiply(spectrum[:, None, :], stage.response, out=product)
         if self.config.magnitude:
             # One-sided product, zero-padded to the grid: W itself.
-            coeff = backend.ifft(product, n=stage.n_fft, axis=-1)
-            np.abs(coeff[:, :, : self.n_samples], out=target)
+            np.fft.ifft(grid, axis=-1, out=grid)
+            np.abs(grid[:, :, : self.n_samples], out=target)
         else:
-            coeff = backend.irfft(product, n=stage.n_fft, axis=-1)
+            coeff = np.fft.irfft(product, n=stage.n_fft, axis=-1)
             target[...] = coeff[:, :, : self.n_samples]
 
     def _run_toeplitz_stage(
@@ -499,8 +532,9 @@ class CWT:
             ``(n, n_scales, n_samples)`` float32 array (or 2-D for a
             single trace).
         """
+        traces = np.asarray(traces, dtype=self._real_dtype)
         single = traces.ndim == 1
-        batch = np.atleast_2d(np.asarray(traces, dtype=self._real_dtype))
+        batch = np.atleast_2d(traces)
         if batch.shape[1] != self.n_samples:
             raise ValueError(
                 f"expected {self.n_samples}-sample traces, got {batch.shape[1]}"
@@ -661,7 +695,7 @@ class CWT:
         m = np.arange(self.n_samples)
         for n_fft, entries in spectra_by_grid.items():
             spectra = np.stack([spectrum for _, spectrum in entries])
-            kernels = backend.ifft(spectra, axis=-1) * n_fft
+            kernels = np.fft.ifft(spectra, axis=-1) * n_fft
             for (j, _), kernel in zip(entries, kernels):
                 columns, times = zip(*columns_by_scale[j])
                 lags = (np.array(times)[None, :] - m[:, None]) % n_fft

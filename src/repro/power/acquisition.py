@@ -436,19 +436,16 @@ class Acquisition:
     ) -> np.ndarray:
         """Shift, apply the session and digitize one rendered program.
 
-        The scope's noise is scaled by the session's ``noise_scale`` for
-        this trace only; the noise generator is the next draw of ``rng``.
+        The scope's noise is scaled by the session's ``noise_scale``; the
+        noise generator is the next draw of ``rng``.
         """
         if shift is not None:
             analog = shift.apply(analog, self.geometry.samples_per_cycle)
         analog = self.session.apply(analog)
         noise_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-        saved_sigma = self.scope.noise_sigma
-        try:
-            self.scope.noise_sigma = saved_sigma * self.session.noise_scale
-            return self.scope.digitize(analog, noise_rng)
-        finally:
-            self.scope.noise_sigma = saved_sigma
+        return self.scope.digitize(
+            analog, noise_rng, noise_scale=self.session.noise_scale
+        )
 
     def _windows(
         self,

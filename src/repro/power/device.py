@@ -15,12 +15,96 @@ independently in ablations.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import lru_cache
+from typing import Mapping, Optional
 
 import numpy as np
 
 __all__ = ["DeviceProfile", "ProgramShift", "SessionShift"]
+
+#: Per-thread scratch of :func:`gaussian_lowpass`; see :func:`_workspace`.
+_WORKSPACE = threading.local()
+
+
+@lru_cache(maxsize=16)
+def _gaussian_taps(sigma: float) -> np.ndarray:
+    """Taps ``w[0..r]`` of the unit-sum Gaussian, centre first.
+
+    ``scipy.ndimage``'s kernel, computed as scipy computes it: radius
+    ``r = int(4 sigma + 0.5)``, weights ``exp(-0.5 / sigma**2 * x**2)``
+    over ``x = -r..r``, divided by their sum.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    phi = phi / phi.sum()
+    taps = phi[radius:].copy()
+    taps.setflags(write=False)
+    return taps
+
+
+def _workspace(n: int, radius: int) -> tuple:
+    """This thread's reflect-padded line and pair-sum row for ``n`` samples.
+
+    Reused across calls and grown to a power of two, so a long trace
+    neither allocates nor faults in fresh pages per call.
+    """
+    buffers = getattr(_WORKSPACE, "buffers", None)
+    size = n + 2 * radius
+    if buffers is None or len(buffers[0]) < size:
+        capacity = 1 << (size - 1).bit_length()
+        buffers = (np.empty(capacity), np.empty(capacity))
+        _WORKSPACE.buffers = buffers
+    padded, pair = buffers
+    return padded[:size], pair[:n]
+
+
+def gaussian_lowpass(
+    x: np.ndarray, sigma: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter1d(x, sigma)`` in numpy, bit for bit.
+
+    Same kernel (:func:`_gaussian_taps`), same ``'reflect'`` boundary
+    (``d c b a | a b c d | d c b a``, repeated when the trace is shorter
+    than the radius) and the same order of float64 operations: the
+    centre tap first, then ``(x[i-j] + x[i+j]) * w[j]`` added from the
+    outermost pair inward.
+
+    Args:
+        x: 1-D float64 trace.
+        sigma: Gaussian standard deviation, in samples.
+        out: float64 array of ``x``'s length to write into (may be
+            ``x``: the trace is copied into the padded line first).
+
+    Returns:
+        ``out``, or a new array when it is omitted.
+    """
+    taps = _gaussian_taps(float(sigma))
+    radius = len(taps) - 1
+    n = len(x)
+    if out is None:
+        out = np.empty(n)
+    padded, pair = _workspace(n, radius)
+    padded[radius:radius + n] = x
+    if n >= radius:
+        padded[:radius] = x[:radius][::-1]
+        padded[radius + n:] = x[n - radius:][::-1]
+    elif n:
+        # Reflection repeats with period 2n.
+        index = np.arange(-radius, n + radius) % (2 * n)
+        padded[:] = x[np.where(index < n, index, 2 * n - 1 - index)]
+    np.multiply(padded[radius:radius + n], taps[0], out=out)
+    for j in range(radius, 0, -1):
+        np.add(
+            padded[radius - j:radius - j + n],
+            padded[radius + j:radius + j + n],
+            out=pair,
+        )
+        pair *= taps[j]
+        out += pair
+    return out
 
 
 def _apply_tilts(trace: np.ndarray, *tilts) -> np.ndarray:
@@ -29,8 +113,6 @@ def _apply_tilts(trace: np.ndarray, *tilts) -> np.ndarray:
     Every copy is filtered from the trace as it was on entry; the sum
     is accumulated into ``trace`` itself, which is returned.
     """
-    from scipy.ndimage import gaussian_filter1d
-
     centered = lowpassed = None
     for strength, sigma in tilts:
         if strength == 0.0:
@@ -38,7 +120,7 @@ def _apply_tilts(trace: np.ndarray, *tilts) -> np.ndarray:
         if centered is None:
             centered = trace - trace.mean()
             lowpassed = np.empty_like(centered)
-        gaussian_filter1d(centered, sigma, output=lowpassed)
+        gaussian_lowpass(centered, sigma, out=lowpassed)
         lowpassed *= strength
         trace += lowpassed
     return trace

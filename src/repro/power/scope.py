@@ -308,13 +308,19 @@ class Oscilloscope:
         self._lowpass = ZeroPhaseButterworth(normalized)
 
     def digitize(
-        self, analog: np.ndarray, rng: Optional[np.random.Generator] = None
+        self,
+        analog: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+        noise_scale: float = 1.0,
     ) -> np.ndarray:
         """Capture an analog trace: noise, bandwidth filter, quantize.
 
         Args:
             analog: analog power waveform.
             rng: noise generator; omit for a noise-free capture.
+            noise_scale: factor on ``noise_sigma`` for this trace (a
+                session's drift); the noise drawn has standard
+                deviation ``noise_sigma * noise_scale``.
 
         Returns:
             float32 digitized trace, same length as ``analog``.  ``analog``
@@ -324,8 +330,9 @@ class Oscilloscope:
         """
         trace = np.asarray(analog, dtype=np.float64)
         noisy = None
-        if rng is not None and self.noise_sigma > 0.0:
-            noisy = rng.normal(0.0, self.noise_sigma, trace.shape)
+        sigma = self.noise_sigma * noise_scale
+        if rng is not None and sigma > 0.0:
+            noisy = rng.normal(0.0, sigma, trace.shape)
             noisy += trace
             trace = noisy
         trace = self._lowpass.filtfilt(trace, out=noisy)

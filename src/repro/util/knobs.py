@@ -1,8 +1,7 @@
 """Central registry of every ``REPRO_*`` environment knob.
 
-PRs 1–2 grew a family of tuning knobs (FFT backend, memory budgets,
-worker counts) whose declarations were scattered
-across the modules that read them, and whose README table was maintained
+PRs 1–2 grew a family of tuning knobs (memory budgets, worker counts)
+whose declarations were scattered across the modules that read them, and whose README table was maintained
 by hand.  This module is now the single source of truth: every knob is
 declared here once — name, type, default, minimum, and the docstring the
 README table is generated from — and read through the typed getters
@@ -66,9 +65,9 @@ class Knob:
             ``REPRO_N_JOBS``, where ``<= 0`` means "all cores").
         choices: accepted spellings for ``"choice"`` knobs.
         alias: programmatic override shown next to the name in the table
-            (e.g. ``"repro.dsp.backend.set_backend"``).
+            (e.g. ``"`n_jobs`"``).
         default_label: table text for the default when ``str(default)``
-            is not descriptive (e.g. ``"auto (`scipy` if present)"``).
+            is not descriptive (e.g. ``"1 (serial)"``).
         in_table: whether the knob appears in the README table (bench
             harness knobs do not).
     """
@@ -119,15 +118,6 @@ def _declare(*knobs: Knob) -> Dict[str, Knob]:
 
 #: Every knob the package reads, in README-table order.
 KNOBS: Dict[str, Knob] = _declare(
-    Knob(
-        name="REPRO_FFT_BACKEND",
-        kind="choice",
-        default="auto",
-        choices=("auto", "scipy", "numpy"),
-        alias="`repro.dsp.backend.set_backend`",
-        default_label="auto (`scipy` if present)",
-        doc="FFT implementation; pure-numpy fallback",
-    ),
     Knob(
         name="REPRO_CWT_MEM_MB",
         kind="float",

@@ -472,15 +472,15 @@ class TestRep012KnobLiveness:
             self.name = name
             self.default = default
     KNOBS = {
-        "REPRO_FFT_BACKEND": Knob("REPRO_FFT_BACKEND", "auto"),
+        "REPRO_OBS_LOG_LEVEL": Knob("REPRO_OBS_LOG_LEVEL", "info"),
         "REPRO_N_JOBS": Knob("REPRO_N_JOBS", 0),
     }
     '''
 
     READER = '''
-    __all__ = ["backend"]
-    def backend(get):
-        return get("REPRO_FFT_BACKEND", "auto")
+    __all__ = ["log_level"]
+    def log_level(get):
+        return get("REPRO_OBS_LOG_LEVEL", "info")
     '''
 
     def test_fires_on_dead_knob(self, tmp_path):
@@ -499,9 +499,9 @@ class TestRep012KnobLiveness:
             tmp_path,
             "src/repro/power/reader.py",
             '''
-            __all__ = ["backend", "rate"]
-            def backend(get):
-                return get("REPRO_FFT_BACKEND", "auto")
+            __all__ = ["log_level", "rate"]
+            def log_level(get):
+                return get("REPRO_OBS_LOG_LEVEL", "info")
             def rate(get):
                 return get("REPRO_FAULT_RATE", 0.0)
             ''',
@@ -524,7 +524,7 @@ class TestRep012KnobLiveness:
                 def __init__(self, name, default):
                     self.name = name
                     self.default = default
-            KNOBS = {"REPRO_FFT_BACKEND": Knob("REPRO_FFT_BACKEND", "auto")}
+            KNOBS = {"REPRO_OBS_LOG_LEVEL": Knob("REPRO_OBS_LOG_LEVEL", "info")}
             ''',
         )
         write(tmp_path, "src/repro/power/reader.py", self.READER)
@@ -542,9 +542,9 @@ class TestRep012KnobLiveness:
             tmp_path,
             "src/repro/power/reader.py",
             '''
-            __all__ = ["backend", "fixture"]
-            def backend(get):
-                return get("REPRO_FFT_BACKEND", "auto")
+            __all__ = ["log_level", "fixture"]
+            def log_level(get):
+                return get("REPRO_OBS_LOG_LEVEL", "info")
             def fixture(get):
                 return get("REPRO_TEST_WHATEVER", 1)
             ''',

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dsp import CWT, CwtConfig
+from repro.dsp import CWT, CwtConfig, get_cwt
 
 
 def burst(n, center, period, width, amplitude=1.0):
@@ -23,6 +23,15 @@ class TestShapes:
     def test_single_trace_shape(self):
         cwt = CWT(315)
         assert cwt.transform(np.zeros(315)).shape == (50, 315)
+
+    def test_accepts_lists(self):
+        cwt = get_cwt(315)
+        trace = np.random.default_rng(2).normal(0, 1, 315)
+        single = cwt.transform(trace.tolist())
+        np.testing.assert_array_equal(single, cwt.transform(trace))
+        batch = cwt.transform([trace.tolist(), [0.0] * 315])
+        assert batch.shape == (2, 50, 315)
+        np.testing.assert_array_equal(batch[0], single)
 
     def test_paper_plane_size(self):
         assert CwtConfig().n_scales * 315 == 15750

@@ -11,8 +11,8 @@ runs each kernel on its own.
 import numpy as np
 import pickle
 import pytest
+import scipy.fft
 
-from repro.dsp import backend
 from repro.dsp.cwt import CWT, CwtConfig, clear_cwt_cache, get_cwt
 from tests.oracles import cwt_transform, point_operator
 
@@ -102,16 +102,37 @@ def test_double_precision_real_part_matches_reference():
     )
 
 
-def test_numpy_backend_matches_scipy():
+def test_numpy_fft_matches_scipy_fft(monkeypatch):
+    """numpy's pocketfft gives the transform scipy.fft gives, to 1e-6."""
     operator = CWT(315)
     traces = _traces(6, 315, seed=11)
-    default = operator.transform(traces)
-    backend.set_backend("numpy")
-    try:
-        fallback = operator.transform(traces)
-    finally:
-        backend.set_backend(None)
-    np.testing.assert_allclose(fallback, default, atol=1e-6, rtol=0)
+    ours = operator.transform(traces)
+
+    def scipy_ifft(a, axis=-1, out=None):
+        out[...] = scipy.fft.ifft(a, axis=axis)
+        return out
+
+    monkeypatch.setattr(np.fft, "rfft", scipy.fft.rfft)
+    monkeypatch.setattr(np.fft, "ifft", scipy_ifft)
+    theirs = operator.transform(traces)
+    np.testing.assert_allclose(ours, theirs, atol=1e-6, rtol=0)
+
+
+def test_reused_inverse_grid_carries_nothing_over():
+    """A thread's inverse grid is reused across geometries and sizes."""
+    configs = [CwtConfig(), CwtConfig(n_scales=20, scale_max=64.0)]
+    traces = {315: _traces(40, 315, seed=5), 128: _traces(3, 128, seed=6)}
+    first = {
+        (n, config): CWT(n, config).transform(traces[n])
+        for n in traces
+        for config in configs
+    }
+    for (n, config), expected in reversed(list(first.items())):
+        again = CWT(n, config).transform(traces[n])
+        np.testing.assert_array_equal(again, expected)
+        np.testing.assert_array_equal(
+            CWT(n, config).transform(traces[n][:1]), expected[:1]
+        )
 
 
 def test_transform_points_matches_full_plane():

@@ -202,9 +202,18 @@ class TestMixedAndProgramCapture:
         sigmas = []
         digitize = Oscilloscope.digitize
 
-        def spy(scope, *args, **kwargs):
-            sigmas.append(scope.noise_sigma)
-            return digitize(scope, *args, **kwargs)
+        class NoiseSpy:
+            """Records the standard deviation each noise draw uses."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def normal(self, loc, scale, size):
+                sigmas.append(scale)
+                return self.rng.normal(loc, scale, size)
+
+        def spy(scope, analog, rng=None, **kwargs):
+            return digitize(scope, analog, NoiseSpy(rng), **kwargs)
 
         monkeypatch.setattr(Oscilloscope, "digitize", spy)
         acq.reference_window()  # the path every profiling capture takes

@@ -6,10 +6,6 @@ runs small GEMMs whose rounding may follow OpenBLAS's thread count, so
 this file is also run with ``OPENBLAS_NUM_THREADS=1``.
 """
 
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy import signal
@@ -203,28 +199,3 @@ class TestDigitize:
             theirs = scipy_scope.digitize(analog, np.random.default_rng(seed))
             np.testing.assert_array_equal(ours, theirs)
 
-
-def test_capture_and_fit_never_import_scipy_signal():
-    """``scipy.signal`` stays a test oracle: no src/ path imports it."""
-    src = Path(__file__).resolve().parents[2] / "src"
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "import numpy as np\n"
-        "import repro\n"
-        "from repro import Acquisition, FeatureConfig, QDA\n"
-        "from repro.core.hierarchy import LevelModel\n"
-        "from repro.power import TraceSet\n"
-        "windows, pids = Acquisition(seed=5).capture_class('ADD', 24, 2)\n"
-        "labels = np.arange(len(windows)) % 2\n"
-        "trace_set = TraceSet(windows, labels, ('a', 'b'), pids)\n"
-        "config = FeatureConfig(kl_threshold='auto:0.9', top_k=3,"
-        " n_components=4)\n"
-        "LevelModel.train(trace_set, config, QDA)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.')))\n"
-        "assert 'scipy.signal' not in sys.modules\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stdout + result.stderr

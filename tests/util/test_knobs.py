@@ -49,7 +49,6 @@ class TestDeclarations:
 
     def test_pr12_knob_surface_is_declared(self):
         expected = {
-            "REPRO_FFT_BACKEND",
             "REPRO_CWT_MEM_MB",
             "REPRO_N_JOBS",
             "REPRO_PARALLEL_MIN_FILES",
@@ -89,9 +88,9 @@ class TestGetters:
         assert get_flag("REPRO_FAULT_SCREEN") is False
 
     def test_get_str_rejects_unknown_choice(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FFT_BACKEND", "cuda")
-        with pytest.warns(RuntimeWarning, match="REPRO_FFT_BACKEND"):
-            assert get_str("REPRO_FFT_BACKEND") == "auto"
+        monkeypatch.setenv("REPRO_OBS_LOG_LEVEL", "loud")
+        with pytest.warns(RuntimeWarning, match="REPRO_OBS_LOG_LEVEL"):
+            assert get_str("REPRO_OBS_LOG_LEVEL") == "info"
 
     def test_unknown_knob_raises(self):
         with pytest.raises(KeyError, match="REPRO_TEST_NOPE"):

@@ -16,7 +16,7 @@ Flagged, in importable library code outside :mod:`repro.obs` itself:
   whose first positional argument is **not** a plain string literal;
 * a literal name that does not match the convention
   ``^[a-z][a-z0-9_]*(\\.[a-z][a-z0-9_]*)+$`` — lowercase dotted, at
-  least two segments, e.g. ``cwt.batch`` or ``campaign.cells_total``.
+  least two segments, e.g. ``cwt.batch`` or ``parallel.items_salvaged``.
 
 Exempt: tests, and the :mod:`repro.obs` package itself, whose helpers
 legitimately forward caller-supplied ``name`` parameters.  A dynamic

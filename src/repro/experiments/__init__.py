@@ -1,16 +1,8 @@
-"""Experiment runners regenerating every table and figure of the paper.
-
-:mod:`repro.experiments.campaign` is not imported here: it runs as
-``python -m repro.experiments.campaign``, and a package that imported it
-first would make runpy execute it a second time as ``__main__`` (with a
-``RuntimeWarning``).  ``repro.experiments.campaign`` still resolves as
-an attribute, on first use.
-"""
-
-import importlib
+"""Experiment runners regenerating every table and figure of the paper."""
 
 from . import (
     ablations,
+    collection_factors,
     endtoend,
     fig1,
     fig2,
@@ -50,6 +42,7 @@ __all__ = [
     "Scale",
     "ablations",
     "checkpoint_store",
+    "collection_factors",
     "csa_config_full",
     "csa_config_nonorm",
     "endtoend",
@@ -74,8 +67,3 @@ __all__ = [
     "table4",
 ]
 
-
-def __getattr__(name: str):
-    if name == "campaign":
-        return importlib.import_module(f"{__name__}.campaign")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

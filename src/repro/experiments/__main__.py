@@ -25,7 +25,7 @@ from .. import obs
 from ..obs import log
 from . import (
     ablations,
-    campaign,
+    collection_factors,
     endtoend,
     fig1,
     fig2,
@@ -77,8 +77,9 @@ RUNNERS = {
     "ablation-hierarchy": (
         ablations.run_hierarchy_ablation, "hierarchical vs flat"
     ),
-    "campaign": (
-        campaign.run, "fault-tolerant sharded collection-factor sweep"
+    "collection-factors": (
+        collection_factors.run,
+        "accuracy vs capture/inference cost over decimation, omega0, KL_th",
     ),
 }
 

@@ -24,14 +24,15 @@ from .configs import CLASSIFIERS, stationary_config
 from .results import ResultTable
 from .scales import get_scale
 
-__all__ = ["DECIMATIONS", "run"]
+__all__ = ["DECIMATIONS", "decimate", "run"]
 
 #: Decimation factors and the oscilloscope rate each emulates
 #: (base rate 2.5 GS/s at a 16 MHz clock -> 156 samples/cycle).
 DECIMATIONS = (1, 2, 4, 8, 16)
 
 
-def _decimate(trace_set: TraceSet, factor: int) -> TraceSet:
+def decimate(trace_set: TraceSet, factor: int) -> TraceSet:
+    """Keep every ``factor``-th sample: the capture of a slower scope."""
     return TraceSet(
         traces=trace_set.traces[:, ::factor].copy(),
         labels=trace_set.labels,
@@ -70,7 +71,7 @@ def run(scale="bench", classifier: str = "QDA") -> ResultTable:
         notes=f"scale={scale.name}; decimated from the 2.5 GS/s capture",
     )
     for factor in DECIMATIONS:
-        decimated = _decimate(full, factor)
+        decimated = decimate(full, factor)
         train, test = decimated.split_random(fraction, rng)
         dis = SideChannelDisassembler(
             stationary_config(scale.components(43)), classifier_factory=factory

@@ -6,9 +6,9 @@ Each experiments/benchmark run appends one JSON line to
 ``<REPRO_LEDGER_DIR>/ledger.jsonl`` describing what ran (entrypoint,
 git revision, the ``REPRO_*`` knobs that were set), how long it took,
 and what it produced (final metrics snapshot, heaviest span paths,
-bench numbers, grid fingerprint).  The append is a single ``O_APPEND``
+bench numbers).  The append is a single ``O_APPEND``
 write (:func:`repro.util.io.atomic_append_line`), so concurrent runs —
-a sharded campaign's shards, parallel CI jobs sharing a directory —
+several experiments at once, parallel CI jobs sharing a directory —
 interleave at line granularity and a crash can tear at most the final
 line, which :func:`read_ledger` skips.
 
@@ -98,12 +98,12 @@ def record_run(
 
     Args:
         entry: dotted entrypoint name (``"experiment.endtoend"``,
-            ``"campaign"``, ``"bench.throughput"``).
+            ``"bench.throughput"``).
         status: ``"ok"`` / ``"failed"`` / anything the caller deems true.
         duration_s: wall time of the run (caller-measured).
         bench: benchmark name → mean milliseconds, for perf gating.
-        extra: small JSON-able run facts (grid fingerprint, coverage,
-            scale) merged in under ``"extra"``.
+        extra: small JSON-able run facts (scale, runner names) merged
+            in under ``"extra"``.
         directory: override the ledger directory (tests; default knob).
     """
     if not get_flag("REPRO_LEDGER"):

@@ -11,10 +11,10 @@ result tables), prefixes the level, and is gated by the
 Deliberately tiny — no timestamps, no formatting machinery, no handlers.
 Structured run data belongs in spans and metrics, not log lines.
 
-Repeated-message storms (a campaign quarantining hundreds of cells
-retries a near-identical warning each time) are rate-limited per *key*:
-pass ``key="campaign.quarantine"`` and only the first message with that
-key prints; later ones are counted silently until
+Repeated-message storms (a ledger append failing on every record of a
+long run repeats a near-identical warning each time) are rate-limited
+per *key*: pass ``key="obs.ledger.append"`` and only the first message
+with that key prints; later ones are counted silently until
 :func:`flush_suppressed` emits one ``(+N similar suppressed: key)``
 summary line per key.  Messages without a key behave exactly as before.
 """
@@ -107,8 +107,8 @@ def flush_suppressed() -> int:
     """Emit one summary line per key with suppressed repeats; reset counts.
 
     Returns the total number of messages that had been suppressed.
-    Long-running entrypoints (the campaign engine) call this at natural
-    boundaries so the operator still learns the magnitude of a storm,
+    Long-running entrypoints call this at natural boundaries so the
+    operator still learns the magnitude of a storm,
     just not one line at a time.
     """
     with _dedup_lock:

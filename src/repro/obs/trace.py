@@ -130,7 +130,7 @@ class Collector:
     list and the metrics registry are shared under a lock.  The span
     count is bounded by ``REPRO_OBS_MAX_SPANS`` — beyond it, spans are
     dropped (and counted in the ``obs.spans_dropped`` counter) rather
-    than growing without limit on a long campaign.
+    than growing without limit on a long run.
     """
 
     def __init__(self, max_spans: Optional[int] = None) -> None:

@@ -35,12 +35,11 @@ bench can settle before the re-arm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..util.knobs import get_float, get_int
-from ..util.retry import BackoffPolicy
 from .faults import FaultContext
 
 __all__ = [
@@ -159,17 +158,25 @@ class ScreeningStats:
 
 
 @dataclass(frozen=True)
-class RetryPolicy(BackoffPolicy):
-    """Capped re-capture backoff (``REPRO_FAULT_*`` wiring).
+class RetryPolicy:
+    """Capped exponential re-capture backoff (``REPRO_FAULT_*`` wiring).
 
-    The delay math — capped exponential, deterministic seeded jitter,
-    injectable sleep hook — lives in the shared
-    :class:`repro.util.retry.BackoffPolicy`; this subclass only binds
-    the acquisition-side knob names.  ``max_attempts`` is the number of
-    re-captures allowed per flagged window before it is quarantined
-    (0 = screen-and-quarantine only); the simulated bench leaves the
-    ``sleep`` hook unset so backoff is computed but never waited.
+    Attributes:
+        max_attempts: re-captures allowed per flagged window before it
+            is quarantined (0 = screen-and-quarantine only).
+        backoff_base: wait before the first re-capture, in seconds
+            (0 = never wait).
+        backoff_factor: multiplier per further attempt.
+        max_backoff: ceiling on any single wait.
+        sleep: hook that actually performs the wait; ``None`` (the
+            simulated-bench default) computes delays without sleeping.
     """
+
+    max_attempts: int = 2
+    backoff_base: float = 0.0
+    backoff_factor: float = 2.0
+    max_backoff: float = 30.0
+    sleep: Optional[Callable[[float], None]] = None
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
@@ -178,6 +185,20 @@ class RetryPolicy(BackoffPolicy):
             max_attempts=get_int("REPRO_FAULT_RETRIES"),
             backoff_base=get_float("REPRO_FAULT_BACKOFF"),
         )
+
+    def delay(self, attempt: int) -> float:
+        """Backoff before re-capture ``attempt`` (1-based), in seconds."""
+        if attempt < 1 or self.backoff_base <= 0.0:
+            return 0.0
+        raw = self.backoff_base * self.backoff_factor ** (attempt - 1)
+        return max(0.0, min(raw, self.max_backoff))
+
+    def wait(self, attempt: int) -> float:
+        """Apply (via the hook) and return the backoff for ``attempt``."""
+        delay = self.delay(attempt)
+        if delay > 0.0 and self.sleep is not None:
+            self.sleep(delay)
+        return delay
 
 
 def _max_equal_run(windows: np.ndarray) -> np.ndarray:

@@ -145,31 +145,6 @@ KNOBS: Dict[str, Knob] = _declare(
         ),
     ),
     Knob(
-        name="REPRO_TASK_TIMEOUT",
-        kind="float",
-        default=0.0,
-        minimum=0.0,
-        default_label="0 (off)",
-        doc=(
-            "seconds without any pool task (capture item or campaign "
-            "cell) completing before the worker pool is declared stalled "
-            "and torn down (completed results are kept, the rest retried; "
-            "results unchanged; the campaign's `--cell-timeout` overrides "
-            "it)"
-        ),
-    ),
-    Knob(
-        name="REPRO_TASK_RETRIES",
-        kind="int",
-        default=1,
-        minimum=0,
-        doc=(
-            "fresh-pool retry rounds for capture tasks whose worker "
-            "crashed or stalled, before the serial salvage pass "
-            "(results unchanged)"
-        ),
-    ),
-    Knob(
         name="REPRO_FAULT_RATE",
         kind="float",
         default=0.0,
@@ -276,38 +251,6 @@ KNOBS: Dict[str, Knob] = _declare(
         doc=(
             "default regression threshold (percent) for `python -m "
             "repro.obs diff`"
-        ),
-    ),
-    Knob(
-        name="REPRO_CAMPAIGN_SHARD_SIZE",
-        kind="int",
-        default=16,
-        minimum=1,
-        doc=(
-            "grid cells per campaign shard — the unit of checkpoint/"
-            "resume granularity (results unchanged)"
-        ),
-    ),
-    Knob(
-        name="REPRO_CAMPAIGN_RETRIES",
-        kind="int",
-        default=2,
-        minimum=0,
-        doc=(
-            "retry rounds for a failed campaign cell before it is "
-            "quarantined (the run keeps going either way)"
-        ),
-    ),
-    Knob(
-        name="REPRO_CAMPAIGN_BACKOFF",
-        kind="float",
-        default=0.0,
-        minimum=0.0,
-        default_label="0 (no wait)",
-        doc=(
-            "base backoff in seconds between campaign cell retry rounds "
-            "(doubles per round, ±25 % deterministic jitter; the campaign "
-            "CLI sleeps it, `run_campaign` only with a `sleep` hook)"
         ),
     ),
     # Bench-harness knobs: declared for REP001's registry check but kept

@@ -6,6 +6,7 @@ bit of the output, leave a thread behind, or oversubscribe a process
 pool that forks afterwards.
 """
 
+import faulthandler
 import multiprocessing
 import os
 import threading
@@ -215,9 +216,13 @@ class TestForkSafety:
         cwt = get_cwt(N_SAMPLES)
         cores(2)
         expected = [cwt.transform(_traces(48, seed)) for seed in (7, 8)]
-        results = parallel_map(
-            _child_transform, [7, 8], n_jobs=2, timeout=120
-        )
+        # A child that deadlocks on a lock held by a parent thread would
+        # hang the map; bound it so a deadlock fails the run instead.
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            results = parallel_map(_child_transform, [7, 8], n_jobs=2)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
         for (pid, in_worker, cores, images), reference in zip(
             results, expected
         ):

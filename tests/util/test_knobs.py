@@ -58,15 +58,15 @@ class TestDeclarations:
 
 class TestGetters:
     def test_get_int_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_SHARD_SIZE", "64")
-        assert get_int("REPRO_CAMPAIGN_SHARD_SIZE") == 64
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_FILES", "64")
+        assert get_int("REPRO_PARALLEL_MIN_FILES") == 64
 
     def test_get_int_clamps_to_declared_minimum(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_SHARD_SIZE", "-5")
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_FILES", "-5")
         with pytest.warns(
-            RuntimeWarning, match="clamping REPRO_CAMPAIGN_SHARD_SIZE"
+            RuntimeWarning, match="clamping REPRO_PARALLEL_MIN_FILES"
         ):
-            assert get_int("REPRO_CAMPAIGN_SHARD_SIZE") == 1
+            assert get_int("REPRO_PARALLEL_MIN_FILES") == 1
 
     def test_n_jobs_keeps_all_cores_convention(self, monkeypatch):
         # <= 0 means "all cores" downstream, so the registry must NOT

@@ -1,95 +1,7 @@
-"""Shared backoff policy: deterministic schedules, jitter, sleep hook."""
-
-import pytest
-
-from repro.util.retry import BackoffPolicy, uniform01
-
-
-class TestUniform01:
-    def test_range_and_determinism(self):
-        values = [uniform01(7, f"key-{i}") for i in range(200)]
-        assert all(0.0 <= v < 1.0 for v in values)
-        assert values == [uniform01(7, f"key-{i}") for i in range(200)]
-
-    def test_seed_and_key_both_matter(self):
-        assert uniform01(1, "a") != uniform01(2, "a")
-        assert uniform01(1, "a") != uniform01(1, "b")
-
-    def test_spreads_over_the_interval(self):
-        values = [uniform01(0, f"k{i}") for i in range(500)]
-        assert min(values) < 0.2
-        assert max(values) > 0.8
-
-
-class TestBackoffPolicy:
-    def test_disabled_base_never_waits(self):
-        policy = BackoffPolicy(backoff_base=0.0)
-        assert policy.delay(1) == 0.0
-        assert policy.delay(5) == 0.0
-
-    def test_attempt_zero_never_waits(self):
-        policy = BackoffPolicy(backoff_base=1.0)
-        assert policy.delay(0) == 0.0
-        assert policy.delay(-3) == 0.0
-
-    def test_exponential_growth_and_cap(self):
-        policy = BackoffPolicy(
-            backoff_base=1.0, backoff_factor=2.0, max_backoff=5.0
-        )
-        assert policy.delay(1) == 1.0
-        assert policy.delay(2) == 2.0
-        assert policy.delay(3) == 4.0
-        assert policy.delay(4) == 5.0  # capped
-        assert policy.delay(10) == 5.0
-
-    def test_jitter_is_bounded_and_deterministic(self):
-        policy = BackoffPolicy(backoff_base=1.0, jitter=0.25, seed=42)
-        delays = [policy.delay(1, key=f"shard-{i}") for i in range(50)]
-        assert all(0.75 <= d <= 1.25 for d in delays)
-        assert len(set(delays)) > 1  # keys actually decorrelate
-        replay = BackoffPolicy(backoff_base=1.0, jitter=0.25, seed=42)
-        assert delays == [replay.delay(1, key=f"shard-{i}") for i in range(50)]
-
-    def test_jitter_seed_changes_schedule(self):
-        a = BackoffPolicy(backoff_base=1.0, jitter=0.25, seed=1)
-        b = BackoffPolicy(backoff_base=1.0, jitter=0.25, seed=2)
-        assert [a.delay(1, key=f"k{i}") for i in range(10)] != [
-            b.delay(1, key=f"k{i}") for i in range(10)
-        ]
-
-    def test_wait_routes_through_injected_sleep(self):
-        slept = []
-        policy = BackoffPolicy(backoff_base=0.5, sleep=slept.append)
-        waited = policy.wait(2)
-        assert waited == 1.0
-        assert slept == [1.0]
-
-    def test_wait_without_sleep_hook_only_computes(self):
-        policy = BackoffPolicy(backoff_base=0.5)
-        assert policy.wait(1) == 0.5  # returns the delay, waits nowhere
-
-    def test_wait_zero_delay_skips_sleep(self):
-        slept = []
-        policy = BackoffPolicy(backoff_base=0.0, sleep=slept.append)
-        assert policy.wait(3) == 0.0
-        assert slept == []
-
-    def test_frozen(self):
-        policy = BackoffPolicy()
-        with pytest.raises(Exception):
-            policy.max_attempts = 9  # type: ignore[misc]
+"""Retry knobs: quality.RetryPolicy reads its schedule from the environment."""
 
 
 class TestQualityMigration:
-    """quality.RetryPolicy is now a thin subclass of BackoffPolicy."""
-
-    def test_retry_policy_is_backoff_policy(self):
-        from repro.power.quality import RetryPolicy
-
-        policy = RetryPolicy(backoff_base=0.5, backoff_factor=3.0)
-        assert isinstance(policy, BackoffPolicy)
-        assert policy.delay(2) == 1.5
-
     def test_from_env_reads_knobs(self, monkeypatch):
         from repro.power.quality import RetryPolicy
 

@@ -13,14 +13,12 @@ run lints the whole of ``src``, ``tests``, and ``benchmarks``
 ========  ===================  =================================================
 Code      Name                 Invariant
 ========  ===================  =================================================
-REP001    knob-registry        ``REPRO_*`` knobs declared in
-                               :mod:`repro.util.knobs`; ``os.environ`` only in
-                               :mod:`repro.util.env`
-REP003    determinism          no global ``np.random``, wall-clock reads, or
-                               set-order iteration in library code
+REP001    knob-registry        ``os.environ`` only in :mod:`repro.util.env`;
+                               knobs are read through :mod:`repro.util.knobs`
+REP003    determinism          no global ``np.random`` or wall-clock reads in
+                               library code
 REP004    accumulation-dtype   reductions in ``features/`` and
                                ``ml/suffstats.py`` pin ``dtype=``
-REP005    export-hygiene       ``__all__`` present, sorted, resolvable
 REP006    import-layering      ``isa``/``sim``/``dsp`` never import
                                ``experiments``
 REP007    exception-hygiene    no bare/over-broad ``except`` in library code
@@ -61,7 +59,7 @@ from __future__ import annotations
 
 from .core import RULE_REGISTRY, FileContext, Finding, Rule
 from .docs import check_knob_table, sync_knob_table
-from .reporters import render_json, render_text
+from .reporters import render_text
 from .rules import all_rules
 from .runner import ScanResult, iter_python_files, run
 
@@ -74,7 +72,6 @@ __all__ = [
     "all_rules",
     "check_knob_table",
     "iter_python_files",
-    "render_json",
     "render_text",
     "run",
     "sync_knob_table",

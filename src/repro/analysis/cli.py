@@ -3,7 +3,6 @@
 Usage::
 
     python -m repro.analysis [PATH ...]           # lint (default roots)
-    python -m repro.analysis --format json src    # machine-readable output
     python -m repro.analysis --list-rules         # what gets checked
     python -m repro.analysis --check-docs         # lint + README table in sync?
     python -m repro.analysis --fix-docs           # rewrite the README table
@@ -27,7 +26,7 @@ from typing import List, Optional, Sequence
 
 from .core import RULE_REGISTRY
 from .docs import check_knob_table, sync_knob_table
-from .reporters import render_json, render_text
+from .reporters import render_text
 from .runner import run
 
 __all__ = ["build_parser", "default_paths", "main"]
@@ -43,10 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "replint: AST-based invariant checks for the reproduction — "
-            "per-file rules (knob registry, "
-            "determinism, accumulation dtypes, export hygiene, import "
-            "layering) plus whole-program rules over the project model "
-            "(dtype flow, parallel safety, span coverage, knob liveness)"
+            "per-file rules (environment access, determinism, "
+            "accumulation dtypes, import layering, exception hygiene, "
+            "printing, metric names) plus whole-program rules over the "
+            "project model (dtype flow, parallel safety, span coverage, "
+            "knob liveness)"
         ),
     )
     parser.add_argument(
@@ -57,12 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
             "files or directories to lint (default: src tests benchmarks, "
             "whichever exist)"
         ),
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
     )
     parser.add_argument(
         "--list-rules",
@@ -147,8 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"replint: {exc}\n")
         return 2
-    renderer = render_json if args.format == "json" else render_text
-    sys.stdout.write(renderer(result))
+    sys.stdout.write(render_text(result))
     if not result.ok:
         status = 1
     return status

@@ -1,9 +1,8 @@
 """REP003 — library code must be deterministic and seeded.
 
 Reproduction results die by a thousand unseeded cuts: a stray global
-``np.random.*`` call (shared mutable RNG state), a wall-clock read that
-leaks into derived data, or iteration over a ``set`` whose order depends
-on hash seeding.  The collection-factors literature (arXiv:2204.04766)
+``np.random.*`` call (shared mutable RNG state) or a wall-clock read
+that leaks into derived data.  The collection-factors literature (arXiv:2204.04766)
 attributes most irreproducible side-channel numbers to exactly these
 environmental leaks, so the library (``src/repro``) is held to:
 
@@ -11,8 +10,7 @@ environmental leaks, so the library (``src/repro``) is held to:
   ``Generator`` object — never the global NumPy RNG;
 * no wall-clock calls (``time.time``, ``datetime.now``, ...) in library
   code; presentation-layer timing must be suppressed with a
-  justification;
-* no direct iteration over ``set`` expressions (wrap in ``sorted()``).
+  justification.
 
 Scope: ``src/repro`` only — tests may do what they like.
 """
@@ -74,23 +72,13 @@ _CLOCK_CALLS = frozenset(
 )
 
 
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    )
-
-
 @register_rule
 class DeterminismRule(Rule):
     code = "REP003"
     name = "determinism"
     description = (
-        "library code must avoid the global np.random RNG, wall-clock "
-        "reads, and iteration over unordered sets"
+        "library code must avoid the global np.random RNG and "
+        "wall-clock reads"
     )
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
@@ -100,13 +88,6 @@ class DeterminismRule(Rule):
         for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 findings.extend(self._check_call(ctx, node))
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                findings.extend(self._check_iter(ctx, node.iter))
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for gen in node.generators:
-                    findings.extend(self._check_iter(ctx, gen.iter))
         return findings
 
     def _check_call(self, ctx: FileContext, node: ast.Call) -> List[Finding]:
@@ -135,33 +116,6 @@ class DeterminismRule(Rule):
                     node,
                     f"wall-clock {called}() in library code; results must "
                     "not depend on when they run",
-                )
-            ]
-        # list(set(...)) / tuple(set(...)) materialize unordered order.
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in ("list", "tuple")
-            and node.args
-            and _is_set_expr(node.args[0])
-        ):
-            return [
-                self.finding(
-                    ctx,
-                    node,
-                    f"{node.func.id}() over a set has hash-seed-dependent "
-                    "order; use sorted()",
-                )
-            ]
-        return []
-
-    def _check_iter(self, ctx: FileContext, iter_node: ast.AST) -> List[Finding]:
-        if _is_set_expr(iter_node):
-            return [
-                self.finding(
-                    ctx,
-                    iter_node,
-                    "iteration over a set expression has "
-                    "hash-seed-dependent order; use sorted()",
                 )
             ]
         return []

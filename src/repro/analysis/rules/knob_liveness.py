@@ -1,22 +1,22 @@
 """REP012 — knob-liveness: the knob registry and its read sites agree.
 
 The central registry (:mod:`repro.util.knobs`) made knob *declarations*
-single-sourced; REP001 guarantees every read names a declared knob.
-This rule closes the loop in the other direction, whole-program:
+single-sourced.  This rule checks, whole-program, that declarations and
+read sites agree both ways:
 
 * **dead knob** — a ``Knob(...)`` registration whose name is never
   passed to any call anywhere else in the tree.  Dead knobs are
   documentation that lies: the README table advertises a behavior no
   code implements.  Reported at the registration line.
 * **phantom read** — a ``REPRO_*`` literal used in a call with no
-  matching registration in the scanned registry.  (REP001 checks reads
-  against the *imported* registry; this check works purely from source,
-  so it also runs on fixture trees and catches a registration deleted
-  while its readers survive.)
+  matching registration in the scanned registry — in library code,
+  tests (``monkeypatch.setenv``) and benchmarks alike.  The check works
+  purely from source, so it also runs on fixture trees and catches a
+  registration deleted while its readers survive.
 
 Both directions are inherently cross-module: registrations live in one
 file, reads everywhere else, and only the project model sees both.  The
-``REPRO_TEST_*`` fixture namespace is exempt, as for REP001.  When the
+``REPRO_TEST_*`` fixture namespace is exempt.  When the
 scanned tree has no registry module at all the rule is silent — a
 partial lint (one file, a fixture tree) cannot judge liveness.
 

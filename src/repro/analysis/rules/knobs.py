@@ -1,33 +1,23 @@
-"""REP001 — every ``REPRO_*`` knob goes through the central registry.
+"""REP001 — ``os.environ`` belongs to :mod:`repro.util.env` alone.
 
-Two invariants, both of which had already eroded by PR 2:
-
-* ``os.environ`` (and ``os.getenv``/``os.putenv``) is touched only by
-  :mod:`repro.util.env` — everything else reads knobs through the typed
-  getters, so parsing, warnings, and clamping cannot fork per call site;
-* every ``REPRO_*`` name passed to *any* call (knob getters,
-  ``monkeypatch.setenv`` in tests, subprocess env setup) is declared in
-  :data:`repro.util.knobs.KNOBS`.  The ``REPRO_TEST_*`` namespace is
-  reserved for test fixtures exercising the parsers themselves and is
-  exempt.
-
-Both checks run in one pass over the file's nodes.  The env owner may
-touch ``os.environ`` but its knob literals are still checked.
+``os.environ`` (and ``os.getenv``/``os.putenv``/``os.unsetenv``) is
+touched only by :mod:`repro.util.env`; everything else reads knobs
+through the typed getters in :mod:`repro.util.knobs`, so parsing,
+warnings and clamping cannot fork per call site.  That a ``REPRO_*``
+name is declared is checked elsewhere: REP012 reports reads with no
+registration, and ``repro.util.knobs`` raises ``KeyError`` on any
+undeclared name at run time.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import List
 
-from ...util.knobs import KNOBS
 from ..core import FileContext, Finding, Rule, iter_call_name, register_rule
 
 __all__ = ["KnobRegistryRule"]
 
-_KNOB_NAME = re.compile(r"^REPRO_[A-Z0-9_]+$")
-_TEST_NAMESPACE = "REPRO_TEST_"
 _ENV_OWNER = "repro/util/env.py"
 _OS_ENV_CALLS = ("os.getenv", "os.putenv", "os.unsetenv")
 
@@ -37,18 +27,15 @@ class KnobRegistryRule(Rule):
     code = "REP001"
     name = "knob-registry"
     description = (
-        "REPRO_* knobs must be declared in repro.util.knobs and read via "
-        "repro.util.env; no raw os.environ access elsewhere"
+        "no raw os.environ access outside repro.util.env; read REPRO_* "
+        "knobs through repro.util.knobs"
     )
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
-        env_owner = ctx.path.endswith(_ENV_OWNER)
+        if ctx.path.endswith(_ENV_OWNER):
+            return []
         findings: List[Finding] = []
         for node in ctx.nodes:
-            if isinstance(node, ast.Call):
-                findings.extend(self._undeclared_knobs(ctx, node))
-            if env_owner:
-                continue
             if (
                 isinstance(node, ast.Attribute)
                 and node.attr in ("environ", "environb")
@@ -87,31 +74,4 @@ class KnobRegistryRule(Rule):
                             "repro.util.env",
                         )
                     )
-        return findings
-
-    def _undeclared_knobs(
-        self, ctx: FileContext, call: ast.Call
-    ) -> List[Finding]:
-        """A finding at each undeclared ``REPRO_*`` literal passed to
-        ``call``, reported at the literal's own position."""
-        findings: List[Finding] = []
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            if not (
-                isinstance(arg, ast.Constant)
-                and isinstance(arg.value, str)
-                and _KNOB_NAME.match(arg.value)
-            ):
-                continue
-            name = arg.value
-            if name in KNOBS or name.startswith(_TEST_NAMESPACE):
-                continue
-            findings.append(
-                self.finding(
-                    ctx,
-                    arg,
-                    f"knob {name!r} is not declared in "
-                    "repro.util.knobs.KNOBS (REPRO_TEST_* is the "
-                    "fixture namespace)",
-                )
-            )
         return findings

@@ -3,10 +3,11 @@
 :func:`repro.util.parallel.parallel_map` ships its callable to worker
 processes by pickling; pickle serializes functions *by qualified name*,
 so a lambda or a function nested inside another function cannot cross
-the boundary.  The failure is invisible on small inputs — the pool
-silently degrades to the serial path — and then surfaces as a
-mysterious throughput collapse at scale (or, under the crash-safe
-retry funnel of PR 4, as retry rounds burned on an unpicklable task).
+the boundary under every start method.  Under ``fork`` the workers
+inherit ``fn`` and never pickle it, so the mistake passes unnoticed on
+Linux.  Under ``spawn``/``forkserver`` the failed pickle breaks the
+pool, and ``parallel_map`` salvages every item serially in the parent:
+the results are right, but the run loses its parallelism.
 
 The rule resolves the callable through the project model, so the
 violation is caught even when the lambda lives in a different module
@@ -23,7 +24,7 @@ than the ``parallel_map`` call:
   state, not by name.
 
 Scope: library code.  Tests deliberately pass unpicklable work to
-exercise the serial-degrade path.
+exercise the serial salvage path.
 """
 
 from __future__ import annotations

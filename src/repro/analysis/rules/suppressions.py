@@ -11,7 +11,7 @@ The detection lives in :mod:`repro.analysis.runner` rather than in a
 hook here, because "unused" is only decidable after *both* phases
 (per-file and project rules) have had the chance to fire into the
 suppression.  This class exists so the code appears in
-``--list-rules``, the JSON report's rule table, and the docs.
+``--list-rules`` and the docs.
 
 Escape hatches, to avoid self-reference loops: a suppression that names
 ``REP013`` itself is always treated as used (it is an explicit opt-out

@@ -12,8 +12,8 @@ Subcommands:
   to bound, ``--json`` for records verbatim).
 * ``diff A B`` — compare two ledger runs (ids, unique prefixes, or
   ``last`` / ``last~N``); spans and bench timings changing more than
-  ``--threshold-pct`` (default the ``REPRO_LEDGER_DIFF_PCT`` knob) are
-  flagged and the exit code is 1 when any regression survives.
+  ``--threshold-pct`` (default 20) are flagged and the exit code is 1
+  when any regression survives.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .ledger import diff_runs, read_ledger, resolve_run
+from .ledger import DIFF_THRESHOLD_PCT, diff_runs, read_ledger, resolve_run
 from .report import load_many, render_json, render_text, validate
 
 __all__ = ["main"]
@@ -184,8 +184,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     diff.add_argument(
         "--threshold-pct",
         type=float,
-        default=None,
-        help="flag changes beyond this percent (default: REPRO_LEDGER_DIFF_PCT)",
+        default=DIFF_THRESHOLD_PCT,
+        help=f"flag changes beyond this percent (default: {DIFF_THRESHOLD_PCT:g})",
     )
     diff.add_argument(
         "--json", action="store_true", help="emit the full comparison as JSON"

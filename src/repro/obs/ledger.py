@@ -19,8 +19,8 @@ repro.obs runs`` / ``diff``):
   the relative refs ``last`` / ``last~N``;
 * :func:`diff_runs` — compare two records' per-span-path self times,
   bench timings, and counters, flagging changes beyond a percentage
-  threshold (``REPRO_LEDGER_DIFF_PCT``).  CI uses the same comparison
-  as a perf-regression gate over benchmark history.
+  threshold (default :data:`DIFF_THRESHOLD_PCT`, 20 %).  CI uses the
+  same comparison as a perf-regression gate over benchmark history.
 
 Recording is on by default (``REPRO_LEDGER=0`` disables; the test suite
 does, globally) and is strictly best-effort: a read-only checkout or a
@@ -38,12 +38,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..util.io import atomic_append_line
-from ..util.knobs import get_flag, get_float, get_path, knob_snapshot
+from ..util.knobs import get_flag, get_path, knob_snapshot
 from . import log as _log
 from .sinks import summarize
 from .trace import active_collector
 
 __all__ = [
+    "DIFF_THRESHOLD_PCT",
     "LEDGER_FORMAT",
     "diff_runs",
     "ledger_path",
@@ -57,6 +58,10 @@ LEDGER_FORMAT = 1
 #: Span paths faster than this are skipped when diffing: percentage
 #: change on sub-millisecond timings is scheduler noise, not regression.
 _MIN_DIFF_MS = 1.0
+
+#: Default percent change past which :func:`diff_runs` flags a timing
+#: (``python -m repro.obs diff --threshold-pct`` overrides it).
+DIFF_THRESHOLD_PCT = 20.0
 
 #: Monotone per-process counter mixed into run ids so two records from
 #: the same process in the same second stay distinct.
@@ -233,7 +238,7 @@ def _counters(record: Dict[str, object]) -> Dict[str, float]:
 def diff_runs(
     old: Dict[str, object],
     new: Dict[str, object],
-    threshold_pct: Optional[float] = None,
+    threshold_pct: float = DIFF_THRESHOLD_PCT,
 ) -> Dict[str, object]:
     """Compare two ledger records; timings past the threshold are flagged.
 
@@ -250,8 +255,6 @@ def diff_runs(
     the ``threshold_pct`` used.  ``python -m repro.obs diff`` exits
     non-zero when ``regressions`` is non-empty; CI leans on that.
     """
-    if threshold_pct is None:
-        threshold_pct = get_float("REPRO_LEDGER_DIFF_PCT")
     rows: List[Dict[str, object]] = []
 
     def compare(kind: str, name: str, a: float, b: float, gate: bool) -> None:

@@ -45,7 +45,6 @@ class PathStats:
     self_ms: float = 0.0
     cpu_ms: float = 0.0
     errors: int = 0
-    mem_peak_kb: float = 0.0
 
     @property
     def name(self) -> str:
@@ -166,7 +165,6 @@ def load_many(paths: List[str]) -> Report:
             into.self_ms += stats.self_ms
             into.cpu_ms += stats.cpu_ms
             into.errors += stats.errors
-            into.mem_peak_kb = max(into.mem_peak_kb, stats.mem_peak_kb)
         merged.n_spans += part.n_spans
         for name, payload in part.metrics.items():
             into_payload = merged.metrics.get(name)
@@ -223,9 +221,6 @@ def _fold_span(report: Report, line: Dict[str, object], where: str) -> None:
     stats.cpu_ms += float(line["cpu_ms"])  # type: ignore[arg-type]
     if line.get("error"):
         stats.errors += 1
-    stats.mem_peak_kb = max(
-        stats.mem_peak_kb, float(line.get("mem_peak_kb", 0.0))  # type: ignore[arg-type]
-    )
     report.n_spans += 1
 
 

@@ -3,13 +3,12 @@
 """The span tracer: where time goes in the trace→template→inference pipeline.
 
 A *span* is one timed region — ``with span("cwt.batch"): ...`` — with a
-name, wall time, CPU (thread) time, optional ``tracemalloc`` peak, and a
-position in the tree of currently-open spans.  Spans nest naturally
-(each thread keeps its own stack) and the report tool
-(``python -m repro.obs report``) aggregates self/cumulative time per
-tree path, flame-style.
+name, wall time, CPU (thread) time, and a position in the tree of
+currently-open spans.  Spans nest naturally (each thread keeps its own
+stack) and the report tool (``python -m repro.obs report``) aggregates
+self/cumulative time per tree path, flame-style.
 
-Three states, in increasing cost:
+Two states:
 
 1. **disabled** (the default): no collector is installed.  ``span()``
    returns a shared no-op context manager after a single attribute
@@ -19,10 +18,6 @@ Three states, in increasing cost:
 2. **enabled** (``REPRO_OBS=1`` or :func:`activate`): finished spans are
    appended to the active :class:`Collector` under a lock, metric
    updates hit the collector's :class:`~repro.obs.metrics.MetricsRegistry`.
-3. **enabled + memory** (``REPRO_OBS_MEM=1``): ``tracemalloc`` runs for
-   the collector's lifetime and every span additionally records the
-   peak traced allocation while it was open (expensive — order-of-2×
-   on allocation-heavy code; off unless asked for).
 
 Cross-process spans: :func:`repro.util.parallel.parallel_map` wraps its
 work function so that each item executed on a worker process runs under
@@ -46,11 +41,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..util.knobs import get_flag, get_int
+from ..util.knobs import get_flag
 from .metrics import MetricsRegistry
 
 __all__ = [
     "Collector",
+    "MAX_SPANS",
     "SpanRecord",
     "WorkerTask",
     "activate",
@@ -68,6 +64,10 @@ __all__ = [
     "traced",
 ]
 
+#: Default span-buffer cap per run; spans beyond it are dropped and
+#: counted in ``obs.spans_dropped``.
+MAX_SPANS = 100_000
+
 
 @dataclass
 class SpanRecord:
@@ -82,8 +82,6 @@ class SpanRecord:
         cpu_ms: CPU time consumed by the opening thread.
         self_ms: ``wall_ms`` minus the wall time of direct children —
             the time spent in this span's own code.
-        mem_peak_kb: peak traced allocation delta while open (``None``
-            unless ``REPRO_OBS_MEM`` is on).
         pid: process that executed the span (workers differ from parent).
         error: exception class name when the span exited via an
             exception, else ``""``.
@@ -96,7 +94,6 @@ class SpanRecord:
     wall_ms: float
     cpu_ms: float
     self_ms: float
-    mem_peak_kb: Optional[float] = None
     pid: int = 0
     error: str = ""
     attrs: Dict[str, object] = field(default_factory=dict)
@@ -113,8 +110,6 @@ class SpanRecord:
             "self_ms": round(self.self_ms, 4),
             "pid": self.pid,
         }
-        if self.mem_peak_kb is not None:
-            out["mem_peak_kb"] = round(self.mem_peak_kb, 1)
         if self.error:
             out["error"] = self.error
         if self.attrs:
@@ -128,19 +123,17 @@ class Collector:
     Thread-safe: spans may finish on any thread; each thread owns its
     own span *stack* (nesting is per-thread) while the finished-span
     list and the metrics registry are shared under a lock.  The span
-    count is bounded by ``REPRO_OBS_MAX_SPANS`` — beyond it, spans are
-    dropped (and counted in the ``obs.spans_dropped`` counter) rather
-    than growing without limit on a long run.
+    count is bounded by ``max_spans`` (default :data:`MAX_SPANS`) —
+    beyond it, spans are dropped (and counted in the
+    ``obs.spans_dropped`` counter) rather than growing without limit on
+    a long run.
     """
 
-    def __init__(self, max_spans: Optional[int] = None) -> None:
+    def __init__(self, max_spans: int = MAX_SPANS) -> None:
         self.spans: List[SpanRecord] = []
         self.metrics = MetricsRegistry()
         self.t0 = time.time()
-        self.max_spans = (
-            max_spans if max_spans is not None else get_int("REPRO_OBS_MAX_SPANS")
-        )
-        self.trace_memory = get_flag("REPRO_OBS_MEM")
+        self.max_spans = max_spans
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -203,7 +196,6 @@ class Collector:
                         wall_ms=float(line["wall_ms"]),
                         cpu_ms=float(line["cpu_ms"]),
                         self_ms=float(line["self_ms"]),
-                        mem_peak_kb=line.get("mem_peak_kb"),  # type: ignore[arg-type]
                         pid=pid,
                         error=str(line.get("error", "")),
                         attrs=dict(line.get("attrs", {})),  # type: ignore[arg-type]
@@ -229,15 +221,6 @@ def _ensure_env_checked() -> None:
         _env_checked = True
         if _collector is None and get_flag("REPRO_OBS"):
             _collector = Collector()
-            _maybe_start_tracemalloc(_collector)
-
-
-def _maybe_start_tracemalloc(collector: Collector) -> None:
-    if collector.trace_memory:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
 
 
 def enabled() -> bool:
@@ -266,7 +249,6 @@ def activate(collector: Optional[Collector] = None) -> Collector:
         if collector is None:
             collector = _collector if _collector is not None else Collector()
         _collector = collector
-        _maybe_start_tracemalloc(collector)
         return collector
 
 
@@ -313,7 +295,7 @@ class _Span:
 
     __slots__ = (
         "_collector", "_name", "_attrs", "_path", "_start", "_t0",
-        "_cpu0", "_mem0", "_child_wall_ms",
+        "_cpu0", "_child_wall_ms",
     )
 
     def __init__(self, collector: Collector, name: str, attrs: Dict[str, object]):
@@ -324,7 +306,6 @@ class _Span:
         self._start = 0.0
         self._t0 = 0.0
         self._cpu0 = 0.0
-        self._mem0: Optional[int] = None
         self._child_wall_ms = 0.0
 
     def annotate(self, **attrs) -> None:
@@ -344,23 +325,11 @@ class _Span:
         self._t0 = time.perf_counter()
         self._cpu0 = time.thread_time()
         stack.append(self)
-        if self._collector.trace_memory:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                self._mem0 = tracemalloc.get_traced_memory()[0]
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         wall_ms = (time.perf_counter() - self._t0) * 1e3
         cpu_ms = (time.thread_time() - self._cpu0) * 1e3
-        mem_peak_kb: Optional[float] = None
-        if self._mem0 is not None:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                peak = tracemalloc.get_traced_memory()[1]
-                mem_peak_kb = max(0.0, (peak - self._mem0) / 1024.0)
         stack = self._collector._stack()
         if stack and stack[-1] is self:
             stack.pop()
@@ -374,7 +343,6 @@ class _Span:
                 wall_ms=wall_ms,
                 cpu_ms=cpu_ms,
                 self_ms=max(0.0, wall_ms - self._child_wall_ms),
-                mem_peak_kb=mem_peak_kb,
                 pid=os.getpid(),
                 error=exc_type.__name__ if exc_type is not None else "",
                 attrs=self._attrs,

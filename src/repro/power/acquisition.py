@@ -283,7 +283,7 @@ class Acquisition:
             on/off with default thresholds; a :class:`TraceScreener`
             instance is used as-is.
         retry_policy: re-capture policy for windows that fail screening
-            (``None`` → ``REPRO_FAULT_RETRIES``/``REPRO_FAULT_BACKOFF``).
+            (``None`` → ``REPRO_FAULT_RETRIES``).
             Re-captures redraw the fault dice per attempt; everything
             stays bit-for-bit reproducible for any worker count.
     """
@@ -519,7 +519,6 @@ class Acquisition:
             attempt = 0
             while bad.any() and attempt < self.retry_policy.max_attempts:
                 attempt += 1
-                self.retry_policy.wait(attempt)
                 rows = np.flatnonzero(bad)
                 stats.n_retried += len(rows)
                 recapture = clean[rows]

@@ -26,20 +26,18 @@ Gwinn et al. warn about for over-aggressive collection filtering.
 
 A window that fails screening is re-captured (fault draws are
 re-randomized per attempt) up to :class:`RetryPolicy.max_attempts`
-times with exponential backoff between attempts, then quarantined.
-On the simulated bench the backoff never sleeps (``sleep`` hook is
-``None``); against real hardware, install ``sleep=time.sleep`` so the
-bench can settle before the re-arm.
+times, then quarantined.  Re-captures follow at once: the simulated
+bench has nothing to settle between attempts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..util.knobs import get_float, get_int
+from ..util.knobs import get_int
 from .faults import FaultContext
 
 __all__ = [
@@ -159,46 +157,19 @@ class ScreeningStats:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential re-capture backoff (``REPRO_FAULT_*`` wiring).
+    """How often a window that fails screening is re-captured.
 
     Attributes:
         max_attempts: re-captures allowed per flagged window before it
             is quarantined (0 = screen-and-quarantine only).
-        backoff_base: wait before the first re-capture, in seconds
-            (0 = never wait).
-        backoff_factor: multiplier per further attempt.
-        max_backoff: ceiling on any single wait.
-        sleep: hook that actually performs the wait; ``None`` (the
-            simulated-bench default) computes delays without sleeping.
     """
 
     max_attempts: int = 2
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    max_backoff: float = 30.0
-    sleep: Optional[Callable[[float], None]] = None
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
-        """Policy configured by ``REPRO_FAULT_RETRIES``/``_BACKOFF``."""
-        return cls(
-            max_attempts=get_int("REPRO_FAULT_RETRIES"),
-            backoff_base=get_float("REPRO_FAULT_BACKOFF"),
-        )
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before re-capture ``attempt`` (1-based), in seconds."""
-        if attempt < 1 or self.backoff_base <= 0.0:
-            return 0.0
-        raw = self.backoff_base * self.backoff_factor ** (attempt - 1)
-        return max(0.0, min(raw, self.max_backoff))
-
-    def wait(self, attempt: int) -> float:
-        """Apply (via the hook) and return the backoff for ``attempt``."""
-        delay = self.delay(attempt)
-        if delay > 0.0 and self.sleep is not None:
-            self.sleep(delay)
-        return delay
+        """Policy configured by ``REPRO_FAULT_RETRIES``."""
+        return cls(max_attempts=get_int("REPRO_FAULT_RETRIES"))
 
 
 def _max_equal_run(windows: np.ndarray) -> np.ndarray:

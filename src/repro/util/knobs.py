@@ -8,20 +8,21 @@ README table is generated from — and read through the typed getters
 below, which route through :mod:`repro.util.env` so parsing, one-shot
 bad-value warnings, and minimum clamps behave identically everywhere.
 
-Invariants (machine-checked by ``REP001`` in :mod:`repro.analysis`):
+Invariants (machine-checked by :mod:`repro.analysis`):
 
-* no module outside :mod:`repro.util.env` touches ``os.environ``;
-* every ``REPRO_*`` name used anywhere in ``src``/``tests`` is declared
-  here (the ``REPRO_TEST_*`` namespace is reserved for test fixtures and
-  exempt);
+* no module outside :mod:`repro.util.env` touches ``os.environ``
+  (``REP001``);
 * the README knob table is generated from this registry
   (``python -m repro.analysis --fix-docs``) and CI fails when it drifts
   (``--check-docs``);
 * liveness, both ways (``REP012``, whole-program): every knob declared
   here has at least one read site somewhere in ``src``/``tests``/
-  ``benchmarks``, and every read resolves to a declaration — dead knobs
-  and phantom reads are findings.  A knob read only outside those roots
-  needs an inline waiver on its declaration.
+  ``benchmarks``, and every ``REPRO_*`` name read there resolves to a
+  declaration — dead knobs and phantom reads are findings (the
+  ``REPRO_TEST_*`` namespace is reserved for test fixtures and exempt).
+  A knob read only outside those roots needs an inline waiver on its
+  declaration.  At run time the getters raise ``KeyError`` on an
+  undeclared name.
 
 Adding a knob is therefore one :class:`Knob` entry plus a call site —
 the docs and the linter pick it up automatically.
@@ -178,18 +179,6 @@ KNOBS: Dict[str, Knob] = _declare(
         ),
     ),
     Knob(
-        name="REPRO_FAULT_BACKOFF",
-        kind="float",
-        default=0.0,
-        minimum=0.0,
-        default_label="0 (no wait)",
-        doc=(
-            "base re-capture backoff in seconds (doubles per attempt; "
-            "only waits when a sleep hook is installed — the simulated "
-            "bench never sleeps)"
-        ),
-    ),
-    Knob(
         name="REPRO_OBS",
         kind="flag",
         default=False,
@@ -200,30 +189,11 @@ KNOBS: Dict[str, Knob] = _declare(
         ),
     ),
     Knob(
-        name="REPRO_OBS_MEM",
-        kind="flag",
-        default=False,
-        doc=(
-            "also record per-span `tracemalloc` peak memory (slow; only "
-            "honoured while tracing is on)"
-        ),
-    ),
-    Knob(
         name="REPRO_OBS_LOG_LEVEL",
         kind="choice",
         default="info",
         choices=("debug", "info", "warning", "error", "off"),
         doc="stderr log threshold for `repro.obs.log` status messages",
-    ),
-    Knob(
-        name="REPRO_OBS_MAX_SPANS",
-        kind="int",
-        default=100_000,
-        minimum=1,
-        doc=(
-            "span-buffer cap per run; spans beyond it are dropped and "
-            "counted in `obs.spans_dropped`"
-        ),
     ),
     Knob(
         name="REPRO_LEDGER",
@@ -243,17 +213,7 @@ KNOBS: Dict[str, Knob] = _declare(
             "`<dir>/ledger.jsonl` (`python -m repro.obs runs` lists them)"
         ),
     ),
-    Knob(
-        name="REPRO_LEDGER_DIFF_PCT",
-        kind="float",
-        default=20.0,
-        minimum=0.0,
-        doc=(
-            "default regression threshold (percent) for `python -m "
-            "repro.obs diff`"
-        ),
-    ),
-    # Bench-harness knobs: declared for REP001's registry check but kept
+    # Bench-harness knobs: declared so their reads resolve, but kept
     # out of the README tuning table (they scale benchmarks, not the
     # library).
     Knob(

@@ -506,13 +506,25 @@ class TestRep012KnobLiveness:
                 return get("REPRO_FAULT_RATE", 0.0)
             ''',
         )
+        # A knob a test sets is a read site too.
+        write(
+            tmp_path,
+            "tests/power/test_reader.py",
+            '''
+            def test_nope(monkeypatch):
+                monkeypatch.setenv("REPRO_NOPE", "1")
+            ''',
+        )
         found = [f for f in lint(tmp_path) if f.code == "REP012"]
         by_message = sorted(f.message for f in found)
         assert any("REPRO_FAULT_RATE" in m and "no Knob" in m
                    for m in by_message)
+        nope = [f for f in found if "REPRO_NOPE" in f.message]
+        assert len(nope) == 1 and "no Knob" in nope[0].message
+        assert nope[0].path.endswith("tests/power/test_reader.py")
         # REPRO_N_JOBS is still dead in this tree.
         assert any("REPRO_N_JOBS" in m for m in by_message)
-        assert len(found) == 2
+        assert len(found) == 3
 
     def test_quiet_when_registry_and_reads_agree(self, tmp_path):
         write(

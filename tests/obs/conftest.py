@@ -8,7 +8,6 @@ from repro.obs import log, trace
 @pytest.fixture(autouse=True)
 def _clean_obs_state(monkeypatch):
     monkeypatch.delenv("REPRO_OBS", raising=False)
-    monkeypatch.delenv("REPRO_OBS_MEM", raising=False)
     trace.reset()
     log.reset_level()
     log.reset_suppressed()

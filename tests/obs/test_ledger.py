@@ -65,11 +65,11 @@ class TestRecordRun:
 
     def test_knob_snapshot_captured(self, runs_dir, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_RETRIES", "7")
-        monkeypatch.delenv("REPRO_FAULT_BACKOFF", raising=False)
+        monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
         record = ledger.record_run("campaign")
         assert record["knobs"]["REPRO_FAULT_RETRIES"] == "7"
         # Unset knobs don't appear: the snapshot is what *this* run set.
-        assert "REPRO_FAULT_BACKOFF" not in record["knobs"]
+        assert "REPRO_FAULT_RATE" not in record["knobs"]
 
     def test_obs_summary_attached_when_enabled(self, runs_dir):
         record = _record_with_obs("experiment.endtoend", span_ms=40.0)
@@ -255,12 +255,12 @@ class TestDiffRuns:
         assert regression["kind"] == "bench"
         assert regression["pct"] == 30.0
 
-    def test_threshold_defaults_to_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER_DIFF_PCT", "50")
+    def test_threshold_defaults_to_20_pct(self):
         old, new = self._pair(100.0, 140.0)
         result = ledger.diff_runs(old, new)
-        assert result["threshold_pct"] == 50.0
-        assert result["regressions"] == []
+        assert result["threshold_pct"] == 20.0
+        (regression,) = result["regressions"]
+        assert regression["pct"] == 40.0
 
 
 class TestLedgerCli:

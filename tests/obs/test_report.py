@@ -184,6 +184,24 @@ class TestCli:
         assert obs_cli.main(["report", path, "--check"]) == 0
         assert "OK" in capsys.readouterr().err
 
+    def test_old_trace_with_mem_peak_kb_still_reads(self, tmp_path, capsys):
+        # Traces written while spans could record ``mem_peak_kb`` stay
+        # readable; the field is ignored.
+        path = str(tmp_path / "old.jsonl")
+        lines = [
+            {"type": "meta", "format": 1, "n_spans": 1},
+            {"type": "span", "path": "cwt.batch", "name": "cwt.batch",
+             "start": 0.0, "wall_ms": 2.0, "cpu_ms": 1.5, "self_ms": 2.0,
+             "pid": 1, "mem_peak_kb": 48827.8},
+        ]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(line) + "\n" for line in lines)
+        assert obs_cli.main(["report", path, "--check"]) == 0
+        assert obs_cli.main(["report", path, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "mem_peak_kb" not in out
+        assert json.loads(out)["spans"][0]["cum_ms"] == 2.0
+
     def test_check_invalid_trace(self, tmp_path, capsys):
         path = str(tmp_path / "empty.jsonl")
         with open(path, "w", encoding="utf-8") as handle:

@@ -131,66 +131,9 @@ class TestDetectors:
 
 
 class TestRetryPolicy:
-    def test_backoff_schedule(self):
-        policy = RetryPolicy(backoff_base=0.5, backoff_factor=2.0, max_backoff=3.0)
-        assert policy.delay(0) == 0.0
-        assert policy.delay(1) == 0.5
-        assert policy.delay(2) == 1.0
-        assert policy.delay(3) == 2.0
-        assert policy.delay(4) == 3.0  # capped
-        assert RetryPolicy(backoff_base=0.0).delay(5) == 0.0
-
-    def test_wait_uses_hook(self):
-        slept = []
-        policy = RetryPolicy(backoff_base=0.25, sleep=slept.append)
-        assert policy.wait(2) == 0.5
-        assert slept == [0.5]
-        # The simulated-bench default never sleeps but still reports.
-        assert RetryPolicy(backoff_base=0.25).wait(2) == 0.5
-
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_RETRIES", "5")
-        monkeypatch.setenv("REPRO_FAULT_BACKOFF", "1.5")
-        policy = RetryPolicy.from_env()
-        assert policy.max_attempts == 5
-        assert policy.backoff_base == 1.5
-
-    def test_disabled_base_never_waits(self):
-        policy = RetryPolicy(backoff_base=0.0)
-        assert policy.delay(1) == 0.0
-        assert policy.delay(5) == 0.0
-
-    def test_attempt_zero_never_waits(self):
-        policy = RetryPolicy(backoff_base=1.0)
-        assert policy.delay(0) == 0.0
-        assert policy.delay(-3) == 0.0
-
-    def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(
-            backoff_base=1.0, backoff_factor=2.0, max_backoff=5.0
-        )
-        assert policy.delay(1) == 1.0
-        assert policy.delay(2) == 2.0
-        assert policy.delay(3) == 4.0
-        assert policy.delay(4) == 5.0  # capped
-        assert policy.delay(10) == 5.0
-
-    def test_wait_routes_through_injected_sleep(self):
-        slept = []
-        policy = RetryPolicy(backoff_base=0.5, sleep=slept.append)
-        waited = policy.wait(2)
-        assert waited == 1.0
-        assert slept == [1.0]
-
-    def test_wait_without_sleep_hook_only_computes(self):
-        policy = RetryPolicy(backoff_base=0.5)
-        assert policy.wait(1) == 0.5  # returns the delay, waits nowhere
-
-    def test_wait_zero_delay_skips_sleep(self):
-        slept = []
-        policy = RetryPolicy(backoff_base=0.0, sleep=slept.append)
-        assert policy.wait(3) == 0.0
-        assert slept == []
+        assert RetryPolicy.from_env().max_attempts == 5
 
     def test_frozen(self):
         policy = RetryPolicy()

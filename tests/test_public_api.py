@@ -1,6 +1,7 @@
 """Public API surface tests."""
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -24,13 +25,24 @@ class TestTopLevel:
             assert hasattr(module, "__all__")
 
     def test_subpackage_alls_resolve(self):
-        for sub in (
-            "isa", "sim", "power", "dsp", "features", "ml", "core",
-            "baselines", "experiments",
-        ):
-            module = importlib.import_module(f"repro.{sub}")
-            for name in module.__all__:
-                assert hasattr(module, name), f"repro.{sub}.{name}"
+        # Every importable module declares a sorted, duplicate-free
+        # ``__all__`` of names it binds, so star-imports and the README's
+        # import examples stay safe.  ``__main__`` modules run, never
+        # import, and are skipped.
+        names = [repro.__name__] + [
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.name.rpartition(".")[2] != "__main__"
+        ]
+        for qualname in names:
+            module = importlib.import_module(qualname)
+            assert hasattr(module, "__all__"), f"{qualname} has no __all__"
+            exported = list(module.__all__)
+            assert exported == sorted(set(exported)), (
+                f"{qualname}.__all__ is unsorted or has duplicates"
+            )
+            for name in exported:
+                assert hasattr(module, name), f"{qualname}.{name}"
 
     def test_quickstart_snippet_shape(self):
         """The README/module-docstring quickstart runs end to end."""

@@ -1,4 +1,4 @@
-"""Retry knobs: quality.RetryPolicy reads its schedule from the environment."""
+"""Retry knob: quality.RetryPolicy reads its attempt count from the environment."""
 
 
 class TestQualityMigration:
@@ -6,7 +6,6 @@ class TestQualityMigration:
         from repro.power.quality import RetryPolicy
 
         monkeypatch.setenv("REPRO_FAULT_RETRIES", "5")
-        monkeypatch.setenv("REPRO_FAULT_BACKOFF", "0.25")
-        policy = RetryPolicy.from_env()
-        assert policy.max_attempts == 5
-        assert policy.backoff_base == 0.25
+        assert RetryPolicy.from_env().max_attempts == 5
+        monkeypatch.delenv("REPRO_FAULT_RETRIES")
+        assert RetryPolicy.from_env() == RetryPolicy(max_attempts=2)

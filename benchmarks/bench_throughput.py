@@ -167,7 +167,7 @@ def selector_stats():
 
 
 def test_dnvp_selector_fit_throughput(benchmark, selector_stats):
-    """Batched DNVP selection: all pair fields from stacked statistics."""
+    """Batched DNVP selection: each pair's field from per-class Gaussians."""
     selector = benchmark(
         lambda: DnvpSelector(kl_threshold="auto:0.6", top_k=5).fit(
             selector_stats

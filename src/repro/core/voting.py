@@ -111,17 +111,17 @@ class PairwiseVotingClassifier:
         self.label_names = trace_set.label_names
         n_samples = trace_set.n_samples
         self._cwt = get_cwt(n_samples, cfg.cwt) if cfg.use_cwt else None
-        stats = compute_class_stats(
-            trace_set.traces,
-            trace_set.labels,
-            trace_set.program_ids,
-            trace_set.label_names,
-            self._cwt,
-        )
-        # Select each pair's own points, then build one unified gather list.
+        # Select each pair's own points, then build one unified gather
+        # list; the class statistics die with the selection call.
         pair_codes = itertools.combinations(range(len(self.label_names)), 2)
         selections = select_all_pairs(
-            stats,
+            compute_class_stats(
+                trace_set.traces,
+                trace_set.labels,
+                trace_set.program_ids,
+                trace_set.label_names,
+                self._cwt,
+            ),
             kl_threshold=cfg.kl_threshold,
             top_k=self.points_per_pair,
             names=list(trace_set.label_names),
@@ -131,6 +131,7 @@ class PairwiseVotingClassifier:
             codes: selection.points
             for codes, selection in zip(pair_codes, selections)
         }
+        del selections
         unified = sorted({p for pts in pair_points.values() for p in pts})
         self._points = unified
         if self._cwt is not None:

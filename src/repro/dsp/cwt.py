@@ -507,6 +507,7 @@ class CWT:
         self,
         traces: np.ndarray,
         max_mem_mb: Optional[float] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Transform traces to time-frequency magnitude images.
 
@@ -527,10 +528,17 @@ class CWT:
                 all tasks in flight; defaults to ``REPRO_CWT_MEM_MB``
                 (256 MiB).  Only the FFT chunking and the tasks in
                 flight change; the output is the same bit for bit.
+            out: float32 array of the result's shape to write into (a
+                reused buffer); the values are those of the allocating
+                call, bit for bit.
 
         Returns:
             ``(n, n_scales, n_samples)`` float32 array (or 2-D for a
-            single trace).
+            single trace); ``out`` itself when given.
+
+        Raises:
+            ValueError: wrong trace length, or ``out`` of the wrong
+                shape or dtype.
         """
         traces = np.asarray(traces, dtype=self._real_dtype)
         single = traces.ndim == 1
@@ -540,9 +548,16 @@ class CWT:
                 f"expected {self.n_samples}-sample traces, got {batch.shape[1]}"
             )
         n = batch.shape[0]
-        out = np.empty(
-            (n, self.config.n_scales, self.n_samples), dtype=np.float32
-        )
+        plane = (self.config.n_scales, self.n_samples)
+        shape = plane if single else (n,) + plane
+        if out is None:
+            out = np.empty(shape, dtype=np.float32)
+        elif out.shape != shape or out.dtype != np.float32:
+            raise ValueError(
+                f"out must be a float32 array of shape {shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        images = out[None] if single else out
         chunk, in_flight = self._schedule(max_mem_mb)
         # Blocks first: the longer tasks start early, chunks fill in.
         tasks = []
@@ -555,13 +570,13 @@ class CWT:
 
         def run_task(task) -> None:
             kernel, start, rows = task
-            kernel(batch[start : start + rows], out[start : start + rows])
+            kernel(batch[start : start + rows], images[start : start + rows])
 
         with _obs.span(
             "cwt.batch", n=n, n_scales=self.config.n_scales, workers=workers
         ):
             run_threads(run_task, tasks, workers)
-        return out[0] if single else out
+        return out
 
     def transform_points(self, traces: np.ndarray, points) -> np.ndarray:
         """Evaluate the CWT only at selected (scale, time) points.

@@ -1,10 +1,8 @@
 """Feature engineering: KL divergence fields, DNVP selection, PCA."""
 
 from .kl import (
-    StackedClassStats,
     WaveletStats,
     between_class_kl,
-    between_class_kl_matrix,
     gaussian_kl,
     symmetric_gaussian_kl,
     within_class_kl,
@@ -31,10 +29,8 @@ __all__ = [
     "FeaturePipeline",
     "PCA",
     "PairSelection",
-    "StackedClassStats",
     "WaveletStats",
     "between_class_kl",
-    "between_class_kl_matrix",
     "extract_points",
     "gaussian_kl",
     "local_maxima_2d",

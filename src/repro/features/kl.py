@@ -41,17 +41,17 @@ the calling thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..util.parallel import run_threads, thread_workers
 
 __all__ = [
-    "StackedClassStats",
+    "PooledGaussian",
     "WaveletStats",
+    "between_class_field",
     "between_class_kl",
-    "between_class_kl_matrix",
     "gaussian_kl",
     "symmetric_gaussian_kl",
     "within_class_kl",
@@ -330,69 +330,37 @@ def within_class_kl(stats: WaveletStats) -> np.ndarray:
 
 
 @dataclass
-class StackedClassStats:
-    """Per-class pooled statistics stacked into dense class-axis arrays.
+class PooledGaussian:
+    """One class's pooled per-point Gaussian, prepared for the fused kernel.
 
-    Stacking the per-class :class:`WaveletStats` means/vars into
-    ``(n_classes, n_scales, n_samples)`` arrays lets every pairwise
-    between-class field of a classification level be computed as one
-    broadcasted KL evaluation (:func:`between_class_kl_matrix`) instead
-    of ``K(K-1)/2`` Python-level calls.
+    The float64 mean, the variance floored at ``_VAR_FLOOR`` and its
+    reciprocal: computed once per class, so a class pair's
+    :func:`between_class_field` costs only the kernel's passes.
     """
 
-    names: Tuple[str, ...]
-    means: np.ndarray  #: (n_classes, n_scales, n_samples)
-    vars: np.ndarray  #: (n_classes, n_scales, n_samples)
+    mean: np.ndarray
+    var: np.ndarray
+    inv: np.ndarray
 
     @classmethod
-    def from_stats(
-        cls,
-        stats_by_class: Mapping[str, WaveletStats],
-        names: Optional[Sequence[str]] = None,
-    ) -> "StackedClassStats":
-        """Stack a ``name -> WaveletStats`` mapping (order preserved)."""
-        if names is None:
-            names = list(stats_by_class)
-        means = np.stack(
-            [np.asarray(stats_by_class[n].mean, dtype=np.float64) for n in names]
-        )
-        variances = np.stack(
-            [np.asarray(stats_by_class[n].var, dtype=np.float64) for n in names]
-        )
-        return cls(names=tuple(names), means=means, vars=variances)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.names)
-
-    def pair_indices(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle class pair indices, ``itertools.combinations`` order."""
-        return np.triu_indices(self.n_classes, k=1)
+    def of(cls, stats: WaveletStats) -> "PooledGaussian":
+        mean = np.asarray(stats.mean, dtype=np.float64)
+        var = np.maximum(np.asarray(stats.var, dtype=np.float64), _VAR_FLOOR)
+        return cls(mean=mean, var=var, inv=1.0 / var)
 
 
-def between_class_kl_matrix(stacked: StackedClassStats) -> np.ndarray:
-    """All pairwise between-class fields, shape ``(n_pairs, S, T)``.
+def between_class_field(a: PooledGaussian, b: PooledGaussian) -> np.ndarray:
+    """The between-class field ``D_KL^B`` of one class pair, log-free.
 
-    Row ``p`` corresponds to ``between_class_kl(stats_a, stats_b)`` for
-    the ``p``-th class pair in ``itertools.combinations(names, 2)``
-    order (identical to ``zip(*stacked.pair_indices())``).  The rows
-    come from the log-free Jeffreys kernel writing straight into the
-    output stack — algebraically identical to the per-pair calls with
-    ~1e-15 absolute rounding differences.
+    The fused Jeffreys kernel plus its affine tail, on two fresh planes:
+    a multi-class fit computes each pair's field when it ranks that
+    pair's peaks and drops it after, so no more than a pair's planes
+    are ever alive beyond the per-class ones.  Agrees with
+    :func:`between_class_kl` to ~1e-15 absolute.
     """
-    rows_i, rows_j = stacked.pair_indices()
-    out = np.empty((len(rows_i),) + stacked.means.shape[1:], dtype=np.float64)
-    means = np.asarray(stacked.means, dtype=np.float64)
-    varis = np.maximum(np.asarray(stacked.vars, dtype=np.float64), _VAR_FLOOR)
-    inv = 1.0 / varis
-    tmp = np.empty(means.shape[1:])
-    for row in range(len(rows_i)):
-        i, j = rows_i[row], rows_j[row]
-        buf = _fused_jeffreys_pair(
-            means[i], varis[i], inv[i],
-            means[j], varis[j], inv[j],
-            out[row], tmp,
-        )
-        buf -= 2.0
-        buf *= 0.25
+    out = np.empty(a.mean.shape)
+    tmp = np.empty(a.mean.shape)
+    _fused_jeffreys_pair(a.mean, a.var, a.inv, b.mean, b.var, b.inv, out, tmp)
+    out -= 2.0
+    out *= 0.25
     return out

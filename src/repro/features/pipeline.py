@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dsp.cwt import CWT, CwtConfig, get_cwt
 from ..obs import trace as _obs
-from .kl import WaveletStats
+from .kl import STATS_BLOCK_ROWS, WaveletStats
 from .pca import PCA
 from .selection import DnvpSelector, Point
 
@@ -38,8 +38,9 @@ def compute_class_stats(
     """Per-class wavelet statistics (time-domain pseudo-images if no CWT).
 
     Each class is transformed and reduced one block of rows at a time
-    (:meth:`WaveletStats.stream`), so only one block's images are ever
-    held; ``REPRO_CWT_MEM_MB`` bounds the transform inside a block.  The
+    (:meth:`WaveletStats.stream`), every block into one reused image
+    buffer, so only one block's images are ever held;
+    ``REPRO_CWT_MEM_MB`` bounds the transform inside a block.  The
     transform's chunks and the moment reduction's column tiles run on
     the usable cores; the statistics are bit-identical for any count.
     The ``kl.stats`` span records the most threads a moment reduction
@@ -48,17 +49,27 @@ def compute_class_stats(
     traces = np.asarray(traces)  # replint: disable=REP009 -- row gather only; both sinks re-pin (cwt.transform casts to its real dtype, the pseudo-image branch pins float32)
     labels = np.asarray(labels)
     program_ids = np.asarray(program_ids)
+    class_rows = [
+        np.flatnonzero(labels == code) for code in range(len(label_names))
+    ]
+    largest = max((len(rows) for rows in class_rows), default=0)
+    n_scales = cwt.config.n_scales if cwt is not None else 1
+    buffer = np.empty(
+        (min(STATS_BLOCK_ROWS, largest), n_scales, traces.shape[1]),
+        dtype=np.float32,
+    )
 
     def images_of(rows: np.ndarray) -> np.ndarray:
+        block = buffer[: len(rows)]
         if cwt is not None:
-            return cwt.transform(traces[rows])
-        return np.asarray(traces[rows], dtype=np.float32)[:, None, :]
+            return cwt.transform(traces[rows], out=block)
+        block[:, 0] = traces[rows]
+        return block
 
     stats: Dict[str, WaveletStats] = {}
     workers = [1]
     with _obs.span("kl.stats", n_classes=len(label_names)) as span:
-        for code, name in enumerate(label_names):
-            rows = np.flatnonzero(labels == code)
+        for name, rows in zip(label_names, class_rows):
             if len(rows) == 0:
                 raise ValueError(f"class {name!r} has no traces")
             stats[name] = WaveletStats.stream(
@@ -175,7 +186,7 @@ class FeaturePipeline:
         config: pipeline hyper-parameters.
 
     Attributes (after :meth:`fit`):
-        selector: the fitted :class:`DnvpSelector` (per-pair diagnostics).
+        selector: the fitted :class:`DnvpSelector` (points per class pair).
         points: unified feature points.
         pca: fitted :class:`PCA`.
     """
@@ -315,6 +326,9 @@ class FeaturePipeline:
                     top_k=self.config.top_k,
                     n_jobs=self.config.n_jobs,
                 ).fit(stats)
+            # The statistics are O(classes x programs) planes: free them
+            # before the point-value GEMM, normalization and PCA.
+            del stats
             self.points = self.selector.points
             self._point_gemm = None
             values = self._normalize(self._point_values(traces), fit=True)

@@ -12,12 +12,14 @@ Implements Definition 3.1 of the paper:
    group 1, a 98.7 % reduction from 15,750).
 
 Multi-class selection (:class:`DnvpSelector`, :func:`select_all_pairs`)
-has a batched fast path: per-class within fields are computed once with
-the stacked program-pair kernel, all between-class fields come from one
-broadcasted evaluation (:func:`~repro.features.kl.between_class_kl_matrix`),
-and the per-pair peak selection fans over the ``repro.util.parallel``
-pool in deterministic ``itertools.combinations`` order.  The serial
-per-pair loop is the ``dnvp_fit`` test oracle.
+has a batched fast path: per-class within fields, NVP masks and pooled
+Gaussians are computed once, and the per-pair selection fans over the
+``repro.util.parallel`` pool in deterministic ``itertools.combinations``
+order.  Each pair's task computes its own between-class field
+(:func:`~repro.features.kl.between_class_field`) and drops it once its
+peaks are ranked, so selection holds O(classes) planes, never the
+``K(K-1)/2`` fields.  The serial per-pair loop is the ``dnvp_fit`` test
+oracle.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import numpy as np
 
 from ..util.parallel import parallel_map
 from .kl import (
-    StackedClassStats,
+    PooledGaussian,
     WaveletStats,
+    between_class_field,
     between_class_kl,
-    between_class_kl_matrix,
     within_class_kl,
 )
 
@@ -105,16 +107,21 @@ def _ranked_masked_points(
 
 @dataclass
 class PairSelection:
-    """Selection result for one class pair (diagnostics for Fig. 2)."""
+    """Selection result for one class pair.
+
+    :func:`select_pair_points` fills in the planes, the between field
+    and the three masks (the diagnostics of Fig. 2); they are ``None``
+    in the lean records of :func:`select_all_pairs`.
+    """
 
     class_a: str
     class_b: str
     points: List[Point]
-    between_field: np.ndarray
-    nvp_mask_a: np.ndarray
-    nvp_mask_b: np.ndarray
-    peaks_mask: np.ndarray
-    relaxed: bool  #: True when the strict DNVP intersection was empty
+    between_field: Optional[np.ndarray] = None
+    nvp_mask_a: Optional[np.ndarray] = None
+    nvp_mask_b: Optional[np.ndarray] = None
+    peaks_mask: Optional[np.ndarray] = None
+    relaxed: bool = False  #: True when the strict DNVP intersection was empty
 
 
 def resolve_threshold(kl_threshold, within_field: np.ndarray) -> float:
@@ -218,8 +225,8 @@ def select_pair_points(
 class _PairSelectionTask:
     """Picklable per-class-pair selection job for the worker pool.
 
-    Holds the shared inputs (stats, cached within fields, the batched
-    between-field stack) once; each work item is a pair index into the
+    Holds the per-class inputs (stats, within fields, NVP masks, pooled
+    Gaussians) once; each work item is a pair index into the
     deterministic ``itertools.combinations`` pair list, so results come
     back in the same order the serial loop would produce them.
     """
@@ -231,7 +238,7 @@ class _PairSelectionTask:
         pairs: Sequence[Tuple[int, int]],
         within: Mapping[str, np.ndarray],
         nvp: Mapping[str, np.ndarray],
-        between_stack: np.ndarray,
+        gaussians: Mapping[str, PooledGaussian],
         kl_threshold,
         top_k: int,
     ) -> None:
@@ -240,14 +247,14 @@ class _PairSelectionTask:
         self.pairs = list(pairs)
         self.within = dict(within)
         self.nvp = dict(nvp)
-        self.between_stack = between_stack
+        self.gaussians = dict(gaussians)
         self.kl_threshold = kl_threshold
         self.top_k = top_k
 
     def __call__(self, pair_index: int) -> PairSelection:
         a, b = self.pairs[pair_index]
         name_a, name_b = self.names[a], self.names[b]
-        return select_pair_points(
+        selection = select_pair_points(
             self.stats_by_class[name_a],
             self.stats_by_class[name_b],
             kl_threshold=self.kl_threshold,
@@ -256,9 +263,14 @@ class _PairSelectionTask:
             class_b=name_b,
             within_a=self.within[name_a],
             within_b=self.within[name_b],
-            between=self.between_stack[pair_index],
+            between=between_class_field(
+                self.gaussians[name_a], self.gaussians[name_b]
+            ),
             nvp_a=self.nvp[name_a],
             nvp_b=self.nvp[name_b],
+        )
+        return PairSelection(
+            name_a, name_b, selection.points, relaxed=selection.relaxed
         )
 
 
@@ -274,11 +286,16 @@ def select_all_pairs(
     Within fields are computed once per class (fused program-pair
     kernel) and each class's NVP threshold and mask are resolved once —
     not once per pair appearance, which matters for ``"auto"``
-    (quantile) thresholds.  The between fields for all ``K(K-1)/2``
-    pairs come from one fused stacked evaluation, and the per-pair peak
-    ranking fans over the process pool (``n_jobs`` → ``REPRO_N_JOBS`` →
-    serial) with results in deterministic pair order for any worker
-    count.
+    (quantile) thresholds.  Each class's :class:`PooledGaussian` is
+    prepared once too; a pair's task computes its between field from
+    the two and ranks its peaks, fanned over the process pool
+    (``n_jobs`` → ``REPRO_N_JOBS`` → serial) with results in
+    deterministic pair order for any worker count.
+
+    Records are lean (class names, points, ``relaxed``) and a pair's
+    field is dropped once its peaks are ranked, so the working set is
+    linear in the class count; :func:`select_pair_points` returns one
+    pair's planes to a caller that wants them.
     """
     if names is None:
         names = list(stats_by_class)
@@ -290,11 +307,12 @@ def select_all_pairs(
         name: within[name] < resolve_threshold(kl_threshold, within[name])
         for name in names
     }
-    stacked = StackedClassStats.from_stats(stats_by_class, names)
-    between_stack = between_class_kl_matrix(stacked)
+    gaussians = {
+        name: PooledGaussian.of(stats_by_class[name]) for name in names
+    }
     pairs = list(itertools.combinations(range(len(names)), 2))
     task = _PairSelectionTask(
-        stats_by_class, names, pairs, within, nvp, between_stack,
+        stats_by_class, names, pairs, within, nvp, gaussians,
         kl_threshold, top_k,
     )
     return parallel_map(task, range(len(pairs)), n_jobs=n_jobs)
@@ -308,6 +326,9 @@ def unify_points(selections: Sequence[PairSelection]) -> List[Point]:
 
 class DnvpSelector:
     """Multi-class DNVP selection over per-class wavelet statistics.
+
+    A fitted selector keeps its unified ``points`` and each class pair's
+    ``pair_points``; no KL field or mask outlives :meth:`fit`.
 
     Args:
         kl_threshold: within-class stability threshold ``KL_th``
@@ -323,16 +344,21 @@ class DnvpSelector:
         self.kl_threshold = kl_threshold
         self.top_k = top_k
         self.n_jobs = n_jobs
-        self.pair_selections: List[PairSelection] = []
         self.points: List[Point] = []
         self.pair_points: Dict[Tuple[str, str], List[Point]] = {}
 
+    def __setstate__(self, state) -> None:
+        # Selectors pickled before they went lean also carry every pair's
+        # PairSelection, planes included; nothing reads them, so a loaded
+        # template holds only what inference needs.
+        state.pop("pair_selections", None)
+        self.__dict__.update(state)
+
     def _finalize(self, selections: Sequence[PairSelection]) -> "DnvpSelector":
-        self.pair_selections = list(selections)
         self.pair_points = {
             (sel.class_a, sel.class_b): sel.points for sel in selections
         }
-        self.points = unify_points(self.pair_selections)
+        self.points = unify_points(selections)
         return self
 
     def fit(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsp import CWT, CwtConfig, get_cwt
+from repro.util import parallel
 
 
 def burst(n, center, period, width, amplitude=1.0):
@@ -61,6 +62,54 @@ class TestShapes:
             np.testing.assert_allclose(
                 sparse[:, col], full[:, j, k], rtol=1e-5
             )
+
+
+class TestTransformInto:
+    """``transform(traces, out=buf)`` writes the allocating call's bits."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bit_identical_to_allocating_call(self, monkeypatch, workers):
+        monkeypatch.setattr(parallel, "usable_cores", lambda: workers)
+        monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
+        cwt = get_cwt(315)
+        traces = np.random.default_rng(5).normal(0, 1, (70, 315))
+        expected = cwt.transform(traces)
+        buffer = np.full((90, 50, 315), np.nan, dtype=np.float32)
+        images = cwt.transform(traces, out=buffer[:70])
+        np.testing.assert_array_equal(images, expected)
+        assert np.isnan(buffer[70:]).all()
+
+    def test_returns_out_itself(self):
+        cwt = get_cwt(128)
+        out = np.empty((3, 50, 128), dtype=np.float32)
+        assert cwt.transform(np.zeros((3, 128)), out=out) is out
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            ((3, 50, 127), np.float32),
+            ((4, 50, 128), np.float32),
+            ((3, 49, 128), np.float32),
+            ((50, 128), np.float32),
+            ((3, 50, 128), np.float64),
+        ],
+    )
+    def test_wrong_shape_or_dtype_raises(self, shape, dtype):
+        cwt = get_cwt(128)
+        with pytest.raises(ValueError, match="out must be"):
+            cwt.transform(np.zeros((3, 128)), out=np.empty(shape, dtype))
+
+    def test_single_trace(self):
+        cwt = get_cwt(128)
+        trace = np.random.default_rng(6).normal(0, 1, 128)
+        expected = cwt.transform(trace)
+        assert expected.shape == (50, 128)
+        np.testing.assert_array_equal(expected, cwt.transform(trace[None])[0])
+        out = np.empty((50, 128), dtype=np.float32)
+        assert cwt.transform(trace, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        with pytest.raises(ValueError, match="out must be"):
+            cwt.transform(trace, out=np.empty((1, 50, 128), np.float32))
 
 
 class TestLocalization:

@@ -1,20 +1,25 @@
 """Parity tests: batched training-side KL/selection paths vs loop oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.features import (
     DnvpSelector,
-    StackedClassStats,
     WaveletStats,
     between_class_kl,
-    between_class_kl_matrix,
     select_all_pairs,
     within_class_kl,
 )
-from tests.oracles import dnvp_fit
+from repro.features.kl import PooledGaussian, between_class_field
+from tests.oracles import (
+    StackedClassStats,
+    between_class_kl_matrix,
+    dnvp_fit,
+    dnvp_pair_selections,
+)
 from tests.oracles import within_class_kl as within_class_kl_oracle
 
 
@@ -139,6 +144,20 @@ class TestBetweenClassMatrix:
                 matrix[row], between_class_kl(stats[name_a], stats[name_b])
             )
 
+    def test_pair_fields_are_the_stack_rows_bit_for_bit(self):
+        """Per-pair fields from per-class Gaussians equal the old stack."""
+        rng = np.random.default_rng(12)
+        stats = _random_class_stats(rng, n_classes=5)
+        names = list(stats)
+        stats[names[2]].var[0, :3] = 0.0  # exercise the variance floor
+        matrix = between_class_kl_matrix(StackedClassStats.from_stats(stats))
+        gaussians = [PooledGaussian.of(stats[name]) for name in names]
+        pairs = itertools.combinations(range(len(names)), 2)
+        for row, (a, b) in enumerate(pairs):
+            np.testing.assert_array_equal(
+                between_class_field(gaussians[a], gaussians[b]), matrix[row]
+            )
+
     def test_pair_indices_are_combinations_order(self):
         stacked = StackedClassStats(
             names=("a", "b", "c", "d"),
@@ -160,13 +179,25 @@ class TestDnvpSelectorParity:
         slow = dnvp_fit(DnvpSelector(kl_threshold="auto:0.6", top_k=4), stats)
         assert fast.points == slow.points
         assert fast.pair_points == slow.pair_points
-        for sel_fast, sel_slow in zip(fast.pair_selections, slow.pair_selections):
+        fast_pairs = select_all_pairs(stats, kl_threshold="auto:0.6", top_k=4)
+        slow_pairs = dnvp_pair_selections(slow, stats)
+        assert len(fast_pairs) == len(slow_pairs) == 10
+        for sel_fast, sel_slow in zip(fast_pairs, slow_pairs):
             assert (sel_fast.class_a, sel_fast.class_b) == (
                 sel_slow.class_a,
                 sel_slow.class_b,
             )
-            assert_fused_parity(sel_fast.between_field, sel_slow.between_field)
+            assert sel_fast.points == sel_slow.points
+            # The field the pair's task ranked, against the oracle's.
+            field = between_class_field(
+                PooledGaussian.of(stats[sel_fast.class_a]),
+                PooledGaussian.of(stats[sel_fast.class_b]),
+            )
+            assert_fused_parity(field, sel_slow.between_field)
             assert sel_fast.relaxed == sel_slow.relaxed
+            # Lean records: no plane outlives the pair's task.
+            assert sel_fast.between_field is None
+            assert sel_fast.peaks_mask is None
 
     def test_select_all_pairs_parallel_matches_serial(self, stats):
         serial = select_all_pairs(stats, kl_threshold="auto:0.6", n_jobs=1)
@@ -175,3 +206,37 @@ class TestDnvpSelectorParity:
         assert [(s.class_a, s.class_b) for s in serial] == [
             (s.class_a, s.class_b) for s in pooled
         ]
+
+
+class TestSelectionMemory:
+    """``select_all_pairs`` holds O(classes) planes, not O(pairs)."""
+
+    N_CLASSES = 16
+    SHAPE = (24, 80)
+
+    def test_traced_peak_is_linear_in_class_count(self):
+        rng = np.random.default_rng(21)
+        stats = _random_class_stats(
+            rng, n_classes=self.N_CLASSES, shape=self.SHAPE
+        )
+        plane = np.prod(self.SHAPE) * np.dtype(np.float64).itemsize
+        # A first call may import lazily (``np.quantile`` pulls in
+        # ``numpy.ma``); keep that out of the measured call.
+        select_all_pairs(
+            _random_class_stats(rng, n_classes=3, shape=self.SHAPE),
+            kl_threshold="auto:0.6", n_jobs=1,
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            selections = select_all_pairs(
+                stats, kl_threshold="auto:0.6", top_k=4, n_jobs=1
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(selections) == self.N_CLASSES * (self.N_CLASSES - 1) // 2
+        # Per class: a within field, a floored variance and its
+        # reciprocal, and a mask; per call: a few scratch planes.  The
+        # K(K-1)/2 = 120 stacked fields alone would be 120 planes.
+        assert peak < (4 * self.N_CLASSES + 16) * plane, peak / plane

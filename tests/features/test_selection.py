@@ -202,7 +202,9 @@ class TestSelectorAndExtract:
         selector = DnvpSelector(kl_threshold="auto:0.9", top_k=2).fit(stats)
         assert (1, 2) in selector.points
         assert (3, 8) in selector.points
-        assert len(selector.pair_selections) == 3
+        pairs = [("A", "B"), ("A", "C"), ("B", "C")]
+        assert list(selector.pair_points) == pairs
+        assert all(len(pts) == 2 for pts in selector.pair_points.values())
         assert selector.n_points == len(selector.points)
 
     def test_extract_points(self):

@@ -61,15 +61,20 @@ def test_blocks_that_split_a_program(balanced):
 
 
 class _CountingCwt:
-    """Wraps a CWT and records the batch size of every transform call."""
+    """Wraps a CWT; records every transform call's batch size and buffer."""
 
     def __init__(self, cwt):
         self.cwt = cwt
+        self.config = cwt.config
         self.batches = []
+        self.buffers = []
 
-    def transform(self, traces):
+    def transform(self, traces, out=None):
         self.batches.append(len(traces))
-        return self.cwt.transform(traces)
+        self.buffers.append(out)
+        images = self.cwt.transform(traces, out=out)
+        assert images is out
+        return images
 
 
 def _trace_set(rng, n_per_class, n_samples=48):
@@ -87,8 +92,14 @@ def test_class_stats_with_cwt_match_full_plane_oracle():
     cwt = get_cwt(traces.shape[1], SMALL_CWT)
     spy = _CountingCwt(cwt)
     stats = compute_class_stats(traces, labels, pids, names, spy)
-    # Never more than one block of a class is transformed at once.
+    # Never more than one block of a class is transformed at once, and
+    # every block is written into the same buffer.
     assert max(spy.batches) == STATS_BLOCK_ROWS
+    assert len(spy.batches) == 4
+    bases = {id(out.base) for out in spy.buffers}
+    assert len(bases) == 1 and spy.buffers[0].base is not None
+    plane = stats["A"].mean.shape
+    assert spy.buffers[0].base.shape == (STATS_BLOCK_ROWS,) + plane
     for code, name in enumerate(names):
         rows = np.flatnonzero(labels == code)
         assert_stats_match(

@@ -28,6 +28,7 @@ Oracle                   Fast path it checks
 ``wavelet_stats``        ``repro.features.kl.WaveletStats.stream`` (and
                          ``from_images``, ``compute_class_stats``)
 ``dnvp_fit``             ``repro.features.selection.DnvpSelector.fit``
+``dnvp_pair_selections`` ``repro.features.selection.select_all_pairs``
 ``ovo_fit``              ``repro.ml.ovo.OneVsOneClassifier.fit``
 ``ovo_vote_matrix``      ``repro.ml.ovo.OneVsOneClassifier.vote_matrix``
 ``ovo_predict``          ``repro.ml.ovo.OneVsOneClassifier.predict``
@@ -36,6 +37,10 @@ Oracle                   Fast path it checks
 ``predict_instructions`` ``repro.core.hierarchy.SideChannelDisassembler
                          .predict_instructions``
 =======================  ==================================================
+
+``between_class_kl_matrix`` over ``StackedClassStats`` is the stacked
+all-pairs evaluation that ``repro.features.kl.between_class_field``
+replaced; it holds each per-pair field to the old stack's bits.
 """
 
 from .cwt import cwt_transform, point_operator
@@ -43,7 +48,13 @@ from .decode import decode_one
 from .encode import encode
 from .flags import add8, logic_flags, set_flags, sub8
 from .hierarchy import predict_instructions
-from .kl import dnvp_fit, within_class_kl
+from .kl import (
+    StackedClassStats,
+    between_class_kl_matrix,
+    dnvp_fit,
+    dnvp_pair_selections,
+    within_class_kl,
+)
 from .ovo import ovo_fit, ovo_predict, ovo_vote_matrix
 from .quality import max_equal_run
 from .render import render_events
@@ -52,12 +63,15 @@ from .step import cpu_run, cpu_step
 from .voting import voting_pair_points, voting_predict
 
 __all__ = [
+    "StackedClassStats",
     "add8",
+    "between_class_kl_matrix",
     "cpu_run",
     "cpu_step",
     "cwt_transform",
     "decode_one",
     "dnvp_fit",
+    "dnvp_pair_selections",
     "encode",
     "logic_flags",
     "max_equal_run",

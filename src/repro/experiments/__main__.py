@@ -44,6 +44,7 @@ from . import (
     table4,
 )
 from .results import ResultTable
+from .scales import PRESETS
 
 #: name -> (runner, description).  Runners return a ResultTable, a tuple
 #: whose first element is one, or a dict of them.
@@ -124,7 +125,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scale",
         default="bench",
-        help="workload preset: smoke | bench | paper (default: bench)",
+        choices=list(PRESETS),
+        help="workload preset (default: bench)",
     )
     parser.add_argument(
         "--checkpoint-dir",

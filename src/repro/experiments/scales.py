@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-__all__ = ["BENCH", "PAPER", "SMOKE", "Scale", "get_scale"]
+__all__ = ["BENCH", "PAPER", "PRESETS", "SMOKE", "Scale", "get_scale"]
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,8 @@ PAPER = Scale(
     n_devices=5,
 )
 
-_PRESETS = {s.name: s for s in (SMOKE, BENCH, PAPER)}
+#: preset name -> :class:`Scale`; the names ``--scale`` accepts.
+PRESETS = {s.name: s for s in (SMOKE, BENCH, PAPER)}
 
 
 def get_scale(name_or_scale) -> Scale:
@@ -118,8 +119,8 @@ def get_scale(name_or_scale) -> Scale:
     if isinstance(name_or_scale, Scale):
         return name_or_scale
     try:
-        return _PRESETS[name_or_scale]
+        return PRESETS[name_or_scale]
     except KeyError:
         raise KeyError(
-            f"unknown scale {name_or_scale!r}; choose from {sorted(_PRESETS)}"
+            f"unknown scale {name_or_scale!r}; choose from {sorted(PRESETS)}"
         ) from None

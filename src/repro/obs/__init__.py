@@ -17,7 +17,7 @@ singletons, one attribute check) when disabled:
 Plus :mod:`repro.obs.log`, the level-gated stderr logger that replaces
 bare ``print()`` (enforced by replint rule REP008), and the run
 **ledger** (:mod:`repro.obs.ledger`) — an append-only history of every
-entrypoint run (git rev, knobs, duration, metrics, bench numbers);
+entrypoint run (git rev, knobs, duration, metrics);
 ``python -m repro.obs runs`` lists it and ``... diff A B`` flags
 cross-run perf regressions.
 

@@ -11,7 +11,7 @@ Subcommands:
 * ``runs`` — list the run ledger (``--entry`` to filter, ``--last N``
   to bound, ``--json`` for records verbatim).
 * ``diff A B`` — compare two ledger runs (ids, unique prefixes, or
-  ``last`` / ``last~N``); spans and bench timings changing more than
+  ``last`` / ``last~N``); span self times changing more than
   ``--threshold-pct`` (default 20) are flagged and the exit code is 1
   when any regression survives.
 """

@@ -2,11 +2,11 @@
 # happened and how long they took; nothing here feeds experiment data.
 """The run ledger: an append-only history of every entrypoint invocation.
 
-Each experiments/benchmark run appends one JSON line to
+Each ``python -m repro.experiments`` run appends one JSON line to
 ``<REPRO_LEDGER_DIR>/ledger.jsonl`` describing what ran (entrypoint,
 git revision, the ``REPRO_*`` knobs that were set), how long it took,
-and what it produced (final metrics snapshot, heaviest span paths,
-bench numbers).  The append is a single ``O_APPEND``
+and what it produced (final metrics snapshot, heaviest span paths).
+The append is a single ``O_APPEND``
 write (:func:`repro.util.io.atomic_append_line`), so concurrent runs —
 several experiments at once, parallel CI jobs sharing a directory —
 interleave at line granularity and a crash can tear at most the final
@@ -17,14 +17,13 @@ repro.obs runs`` / ``diff``):
 
 * :func:`resolve_run` — address records by run id, unique id prefix, or
   the relative refs ``last`` / ``last~N``;
-* :func:`diff_runs` — compare two records' per-span-path self times,
-  bench timings, and counters, flagging changes beyond a percentage
-  threshold (default :data:`DIFF_THRESHOLD_PCT`, 20 %).  CI uses the
-  same comparison as a perf-regression gate over benchmark history.
+* :func:`diff_runs` — compare two records' per-span-path self times
+  and counters, flagging self-time changes beyond a percentage
+  threshold (default :data:`DIFF_THRESHOLD_PCT`, 20 %).
 
 Recording is on by default (``REPRO_LEDGER=0`` disables; the test suite
 does, globally) and is strictly best-effort: a read-only checkout or a
-full disk degrades to a rate-limited warning, never a failed run.
+full disk degrades to a warning, never a failed run.
 """
 
 from __future__ import annotations
@@ -95,18 +94,15 @@ def record_run(
     *,
     status: str = "ok",
     duration_s: Optional[float] = None,
-    bench: Optional[Dict[str, float]] = None,
     extra: Optional[Dict[str, object]] = None,
     directory: Optional[Union[str, Path]] = None,
 ) -> Optional[Dict[str, object]]:
     """Append one run record; returns it, or ``None`` when disabled/failed.
 
     Args:
-        entry: dotted entrypoint name (``"experiment.endtoend"``,
-            ``"bench.throughput"``).
+        entry: dotted entrypoint name (``"experiment.endtoend"``).
         status: ``"ok"`` / ``"failed"`` / anything the caller deems true.
         duration_s: wall time of the run (caller-measured).
-        bench: benchmark name → mean milliseconds, for perf gating.
         extra: small JSON-able run facts (scale, runner names) merged
             in under ``"extra"``.
         directory: override the ledger directory (tests; default knob).
@@ -133,10 +129,6 @@ def record_run(
     collector = active_collector()
     if collector is not None:
         record["obs"] = summarize(collector)
-    if bench:
-        record["bench"] = {
-            name: round(float(value), 4) for name, value in sorted(bench.items())
-        }
     if extra:
         record["extra"] = extra
     try:
@@ -144,7 +136,7 @@ def record_run(
             ledger_path(directory), json.dumps(record, sort_keys=True)
         )
     except OSError as exc:
-        _log.warning(f"ledger: append failed: {exc}", key="obs.ledger.append")
+        _log.warning(f"ledger: append failed: {exc}")
         return None
     return record
 
@@ -246,14 +238,13 @@ def diff_runs(
 
     * per-span-path ``self_ms`` from the ``obs`` summary (paths below
       ~1 ms skipped — percentage change there is noise);
-    * ``bench`` mean milliseconds per benchmark name;
     * counter totals (reported as deltas, never flagged as regressions —
       counts legitimately change with workload).
 
     Returns a dict with ``rows`` (every compared quantity),
     ``regressions`` / ``improvements`` (rows beyond the threshold), and
     the ``threshold_pct`` used.  ``python -m repro.obs diff`` exits
-    non-zero when ``regressions`` is non-empty; CI leans on that.
+    non-zero when ``regressions`` is non-empty.
     """
     rows: List[Dict[str, object]] = []
 
@@ -276,16 +267,6 @@ def diff_runs(
         if max(a, b) < _MIN_DIFF_MS:
             continue
         compare("span", path, a, b, gate=True)
-    old_bench = old.get("bench") if isinstance(old.get("bench"), dict) else {}
-    new_bench = new.get("bench") if isinstance(new.get("bench"), dict) else {}
-    for name in sorted(set(old_bench) & set(new_bench)):  # type: ignore[arg-type]
-        compare(
-            "bench",
-            str(name),
-            float(old_bench[name]),  # type: ignore[index]
-            float(new_bench[name]),  # type: ignore[index]
-            gate=True,
-        )
     old_counters, new_counters = _counters(old), _counters(new)
     for name in sorted(set(old_counters) & set(new_counters)):
         compare(

@@ -12,9 +12,9 @@ Two states:
 
 1. **disabled** (the default): no collector is installed.  ``span()``
    returns a shared no-op context manager after a single attribute
-   check; metric helpers return a shared no-op sink.  This fast path is
-   benchmarked (``benchmarks/bench_obs.py``) and gated in CI at < 2 %
-   of end-to-end runtime.
+   check; metric helpers return a shared no-op sink.  CI gates this
+   fast path's projected cost at < 2 % of end-to-end runtime
+   (``benchmarks/check_obs_overhead.py``).
 2. **enabled** (``REPRO_OBS=1`` or :func:`activate`): finished spans are
    appended to the active :class:`Collector` under a lock, metric
    updates hit the collector's :class:`~repro.obs.metrics.MetricsRegistry`.

@@ -201,7 +201,7 @@ KNOBS: Dict[str, Knob] = _declare(
         default=True,
         doc=(
             "set `0` to disable appending run records to the persistent "
-            "run ledger from experiment/benchmark entrypoints"
+            "run ledger from `python -m repro.experiments` runs"
         ),
     ),
     Knob(
@@ -213,23 +213,14 @@ KNOBS: Dict[str, Knob] = _declare(
             "`<dir>/ledger.jsonl` (`python -m repro.obs runs` lists them)"
         ),
     ),
-    # Bench-harness knobs: declared so their reads resolve, but kept
-    # out of the README tuning table (they scale benchmarks, not the
-    # library).
+    # Bench-harness knob: declared so its reads resolve, but kept out
+    # of the README tuning table (it scales benchmarks, not the library).
     Knob(
         name="REPRO_BENCH_SCALE",
         kind="choice",
         default="bench",
         choices=("smoke", "bench", "paper"),
         doc="benchmark workload scale",
-        in_table=False,
-    ),
-    Knob(
-        name="REPRO_BENCH_JOBS",
-        kind="int",
-        default=2,
-        minimum=1,
-        doc="worker count exercised by the parallel-capture benchmark",
         in_table=False,
     ),
 )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import SideChannelDisassembler, csa_config
-from repro.features import FeatureConfig
+from repro.features import FeatureConfig, FeaturePipeline
 from repro.features.compiled import CompiledPipeline
 from repro.ml import QDA
 from repro.power import Acquisition
@@ -166,6 +166,29 @@ class TestCompileOnce:
         assert outcomes == {"group": True, "I1": True, "I5": True,
                             "Rd": True, "Rr": True}
         assert builds == []
+
+    def test_compiled_levels_never_take_the_staged_path(
+        self, small_world, monkeypatch
+    ):
+        acq, dis, g1, g5 = small_world
+        dis.compile()
+        windows = np.concatenate([g1.traces[:6], g5.traces[:6]])
+        listing = dis.disassemble(windows, adapt=False)
+        keys, confidence = dis.predict_instructions_with_confidence(
+            windows, adapt=False
+        )
+
+        def staged(*args, **kwargs):
+            raise AssertionError("compiled level took the staged path")
+
+        monkeypatch.setattr(QDA, "predict", staged)
+        monkeypatch.setattr(FeaturePipeline, "transform", staged)
+        assert dis.disassemble(windows, adapt=False) == listing
+        again, again_confidence = dis.predict_instructions_with_confidence(
+            windows, adapt=False
+        )
+        assert again == keys
+        np.testing.assert_array_equal(again_confidence, confidence)
 
 
 class TestCsaConfigHelper:

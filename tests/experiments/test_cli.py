@@ -16,6 +16,20 @@ class TestCli:
         assert main(["nonexistent"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["endtoend", "table2"])
+    def test_unknown_scale(self, experiment, capsys, monkeypatch):
+        # argparse rejects the preset before any runner starts.
+        def boom(*args, **kwargs):
+            raise AssertionError("runner started")
+
+        monkeypatch.setitem(RUNNERS, experiment, (boom, "patched"))
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--scale", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "invalid choice" in err and "nope" in err
+
     def test_table2_runs(self, capsys):
         assert main(["table2"]) == 0
         captured = capsys.readouterr()

@@ -10,8 +10,6 @@ def _clean_obs_state(monkeypatch):
     monkeypatch.delenv("REPRO_OBS", raising=False)
     trace.reset()
     log.reset_level()
-    log.reset_suppressed()
     yield
     trace.reset()
     log.reset_level()
-    log.reset_suppressed()

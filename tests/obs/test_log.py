@@ -42,65 +42,14 @@ class TestLog:
         with pytest.raises(ValueError, match="off"):
             log.log("off", "x")
 
+    def test_repeated_messages_all_print(self, capsys):
+        log.warning("same text")
+        log.warning("same text")
+        assert capsys.readouterr().err.count("same text") == 2
+
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown log level"):
             log.log("loud", "x")
         with pytest.raises(ValueError, match="unknown log level"):
             log.set_level("loud")
 
-
-class TestKeyedRateLimit:
-    def test_first_keyed_message_prints_repeats_suppressed(self, capsys):
-        log.warning("cell a quarantined", key="campaign.quarantine")
-        log.warning("cell b quarantined", key="campaign.quarantine")
-        log.warning("cell c quarantined", key="campaign.quarantine")
-        err = capsys.readouterr().err
-        assert "cell a quarantined" in err
-        assert "cell b" not in err
-        assert "cell c" not in err
-
-    def test_flush_emits_one_summary_per_key(self, capsys):
-        log.warning("w0", key="k.one")
-        log.warning("w1", key="k.one")
-        log.warning("w2", key="k.one")
-        log.error("e0", key="k.two")
-        log.error("e1", key="k.two")
-        total = log.flush_suppressed()
-        assert total == 3
-        err = capsys.readouterr().err
-        assert "[warning] (+2 similar suppressed: k.one)" in err
-        assert "[error] (+1 similar suppressed: k.two)" in err
-
-    def test_flush_resets_state(self, capsys):
-        log.warning("first", key="k")
-        log.warning("again", key="k")
-        log.flush_suppressed()
-        capsys.readouterr()
-        log.warning("fresh start", key="k")
-        assert "fresh start" in capsys.readouterr().err
-        assert log.flush_suppressed() == 0
-
-    def test_no_summary_when_nothing_suppressed(self, capsys):
-        log.warning("only once", key="k")
-        capsys.readouterr()
-        assert log.flush_suppressed() == 0
-        assert capsys.readouterr().err == ""
-
-    def test_unkeyed_messages_never_suppressed(self, capsys):
-        log.warning("same text")
-        log.warning("same text")
-        assert capsys.readouterr().err.count("same text") == 2
-
-    def test_same_key_different_levels_independent(self, capsys):
-        log.warning("warn form", key="k")
-        log.error("error form", key="k")
-        err = capsys.readouterr().err
-        assert "warn form" in err
-        assert "error form" in err
-
-    def test_messages_below_threshold_not_counted(self, capsys):
-        log.set_level("error")
-        log.warning("dropped", key="k")
-        log.warning("dropped again", key="k")
-        assert log.flush_suppressed() == 0
-        assert "dropped" not in capsys.readouterr().err

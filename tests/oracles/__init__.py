@@ -3,8 +3,8 @@
 Every stage of the pipeline has exactly one implementation in the
 package.  The straightforward formulation each fast path was derived
 from lives here instead — plain float64 loops, one term at a time — so
-the parity tests (and the ``*_reference`` throughput benches) can hold
-the fast path to it without shipping a second code path behind a knob.
+the parity tests can hold the fast path to it without shipping a second
+code path behind a knob.
 
 An oracle of a method takes the production object as its first argument,
 mirroring the method it checks, so it can also be swapped in with ``monkeypatch``

@@ -17,8 +17,7 @@ REP001    knob-registry        ``os.environ`` only in :mod:`repro.util.env`;
                                knobs are read through :mod:`repro.util.knobs`
 REP003    determinism          no global ``np.random`` or wall-clock reads in
                                library code
-REP004    accumulation-dtype   reductions in ``features/`` and
-                               ``ml/suffstats.py`` pin ``dtype=``
+REP004    accumulation-dtype   reductions in ``features/`` pin ``dtype=``
 REP006    import-layering      ``isa``/``sim``/``dsp`` never import
                                ``experiments``
 REP007    exception-hygiene    no bare/over-broad ``except`` in library code

@@ -9,8 +9,8 @@ changes every downstream statistic).  PR 2's parity work standardized on
 explicit ``dtype=`` for every reduction in the statistics-bearing
 modules; this rule keeps it that way.
 
-Scope: ``src/repro/features/`` and ``src/repro/ml/suffstats.py`` — the
-two places where reduction precision reaches trained templates.  Both
+Scope: ``src/repro/features/``, where reduction precision reaches
+trained templates.  Both
 ``np.sum(x)``-style calls and ``x.sum()``-style method calls count;
 ``dtype=None`` (an explicit "use NumPy's default") also satisfies the
 rule because the choice is then visible at the call site.
@@ -26,7 +26,7 @@ from ..core import FileContext, Finding, Rule, iter_call_name, register_rule
 __all__ = ["AccumulationDtypeRule"]
 
 _REDUCTIONS = frozenset({"sum", "mean", "var", "std", "nansum", "nanmean"})
-_SCOPED = ("src/repro/features/", "src/repro/ml/suffstats.py")
+_SCOPE = "src/repro/features/"
 
 
 @register_rule
@@ -34,12 +34,12 @@ class AccumulationDtypeRule(Rule):
     code = "REP004"
     name = "accumulation-dtype"
     description = (
-        "float reductions (sum/mean/var/...) in features/ and "
-        "ml/suffstats.py must pass an explicit dtype="
+        "float reductions (sum/mean/var/...) in features/ "
+        "must pass an explicit dtype="
     )
 
     def check_file(self, ctx: FileContext) -> List[Finding]:
-        if not any(marker in ctx.path for marker in _SCOPED):
+        if _SCOPE not in ctx.path:
             return []
         findings: List[Finding] = []
         for node in ctx.nodes:

@@ -54,17 +54,15 @@ def _classifier_confidence(
     """Per-row confidence of the predicted class, in ``[0, 1]``.
 
     Prefers calibrated posteriors (``predict_proba``), falls back to a
-    softmax over per-class decision scores, and degrades to certainty
-    (all ones — never abstain) for classifiers exposing neither, such as
-    the pairwise-voting SVM whose decision surface is per-pair, not
-    per-class.
+    logistic squash of a binary margin, and degrades to certainty (all
+    ones — never abstain) otherwise, as for the multiclass SVM whose
+    decision surface is per pair, not per class.
     """
     n = len(codes)
-    rows = np.arange(n)
     proba_fn = getattr(classifier, "predict_proba", None)
     if proba_fn is not None:
         proba = np.asarray(proba_fn(features), dtype=np.float64)
-        return proba[rows, _class_columns(classifier, codes)]
+        return proba[np.arange(n), _class_columns(classifier, codes)]
     decision_fn = getattr(classifier, "decision_function", None)
     classes = getattr(classifier, "classes_", None)
     if decision_fn is not None and classes is not None:
@@ -72,11 +70,6 @@ def _classifier_confidence(
         if scores.ndim == 1 and len(classes) == 2:
             # Binary margin: logistic squash of its absolute value.
             return 1.0 / (1.0 + np.exp(-np.abs(scores)))
-        if scores.ndim == 2 and scores.shape[1] == len(classes):
-            scores = scores - scores.max(axis=1, keepdims=True)
-            proba = np.exp(scores)
-            proba /= proba.sum(axis=1, keepdims=True)
-            return proba[rows, _class_columns(classifier, codes)]
     return np.ones(n, dtype=np.float64)
 
 
@@ -87,9 +80,8 @@ class LevelModel:
     Inference routes through a :class:`CompiledPipeline` — the whole
     trace→scores path folded into precomputed GEMMs — built lazily on
     the first predict call (or eagerly via :meth:`compile`).  Classifier
-    templates without a discriminant fold (SVM, one-vs-one ensembles)
-    fall back to the staged pipeline transparently, as do
-    ``n_components``-truncated calls.
+    templates without a discriminant fold (SVM) fall back to the staged
+    pipeline transparently.
     """
 
     pipeline: FeaturePipeline
@@ -119,29 +111,18 @@ class LevelModel:
         self._compile_failed = False
         return self.compiled
 
-    def _compiled_for(
-        self, n_components: Optional[int]
-    ) -> Optional[CompiledPipeline]:
-        """The compiled artifact, if usable for this call.
+    def _compiled_for(self) -> Optional[CompiledPipeline]:
+        """The compiled artifact, or ``None`` for an unsupported classifier.
 
         Builds lazily once; a failed build is remembered so unsupported
-        classifiers don't retry per batch.  Component-truncated calls
-        (the Fig. 5 sweep) stay on the staged path.
+        classifiers don't retry per batch.
         """
         if self.compiled is None and not self._compile_failed:
             try:
                 self.compile()
             except CompileError:
                 self._compile_failed = True
-        compiled = self.compiled
-        if compiled is None:
-            return None
-        if (
-            n_components is not None
-            and n_components != compiled.n_components
-        ):
-            return None
-        return compiled
+        return self.compiled
 
     @classmethod
     def train(
@@ -172,16 +153,13 @@ class LevelModel:
             )
 
     def predict(
-        self,
-        windows: np.ndarray,
-        n_components: Optional[int] = None,
-        adapt: Optional[bool] = None,
+        self, windows: np.ndarray, adapt: Optional[bool] = None
     ) -> np.ndarray:
         """Predict integer codes for raw windows."""
-        compiled = self._compiled_for(n_components)
+        compiled = self._compiled_for()
         if compiled is not None:
             return compiled.predict(windows, adapt=adapt)
-        features = self.pipeline.transform(windows, n_components, adapt=adapt)
+        features = self.pipeline.transform(windows, adapt=adapt)
         return self.classifier.predict(features)
 
     def predict_keys(
@@ -192,10 +170,7 @@ class LevelModel:
         return list(names[self.predict(windows, adapt=adapt)])
 
     def predict_with_confidence(
-        self,
-        windows: np.ndarray,
-        n_components: Optional[int] = None,
-        adapt: Optional[bool] = None,
+        self, windows: np.ndarray, adapt: Optional[bool] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Predict integer codes plus per-row confidence in ``[0, 1]``.
 
@@ -207,10 +182,10 @@ class LevelModel:
         posterior of its fused discriminant scores — the same quantity
         the staged LDA/QDA/naive-Bayes ``predict_proba`` computes.
         """
-        compiled = self._compiled_for(n_components)
+        compiled = self._compiled_for()
         if compiled is not None:
             return compiled.predict_with_confidence(windows, adapt=adapt)
-        features = self.pipeline.transform(windows, n_components, adapt=adapt)
+        features = self.pipeline.transform(windows, adapt=adapt)
         codes = self.classifier.predict(features)
         return codes, _classifier_confidence(self.classifier, features, codes)
 
@@ -321,7 +296,7 @@ class SideChannelDisassembler:
         """Eagerly fold every fitted level into its compiled artifact.
 
         Best-effort: levels whose classifier has no discriminant fold
-        (SVM, one-vs-one) keep the staged path.  Levels already compiled
+        (SVM) keep the staged path.  Levels already compiled
         (or already known not to compile) during earlier predict calls
         are not rebuilt.  Returns a map of level name → whether it
         compiled, e.g. ``{"group": True, "I1": True, "Rd": False}``.

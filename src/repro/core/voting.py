@@ -28,6 +28,7 @@ from ..features.pipeline import (
 from ..features.selection import select_all_pairs
 from ..ml.base import Classifier
 from ..ml.discriminant import QDA
+from ..ml.ovo import pairwise_vote
 from ..power.dataset import TraceSet
 
 __all__ = ["PairwiseVotingClassifier"]
@@ -161,41 +162,25 @@ class PairwiseVotingClassifier:
         return self
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Majority vote over all pairwise classifiers (Eq. 3).
-
-        Pair predictions are collected into one ``(n_pairs, n)`` winner
-        matrix and reduced with ``np.add.at`` (identical counts to the
-        per-pair accumulation loop of the ``voting_predict`` test oracle).
-        """
+        """Majority vote over all pairwise classifiers (Eq. 3)."""
         if not self._pairs:
             raise RuntimeError("classifier is not fitted")
         values = self._normalize(self._point_values(np.asarray(windows)), fit=False)
-        n = len(values)
-        n_classes = len(self.label_names)
-        n_pairs = len(self._pairs)
-        winners = np.empty((n_pairs, n), dtype=np.int64)
-        softs = np.zeros((n_pairs, n))
-        has_soft = np.zeros(n_pairs, dtype=bool)
-        codes_a = np.array([pair.code_a for pair in self._pairs])
-        codes_b = np.array([pair.code_b for pair in self._pairs])
+        a_wins = np.empty((len(self._pairs), len(values)), dtype=bool)
+        margins = np.zeros(a_wins.shape)
         for row, pair in enumerate(self._pairs):
             projected = pair.pca.transform(values[:, pair.columns])
-            pred = pair.classifier.predict(projected)
-            winners[row] = np.where(pred == pair.code_a, pair.code_a, pair.code_b)
+            a_wins[row] = pair.classifier.predict(projected) == pair.code_a
             if hasattr(pair.classifier, "predict_proba"):
                 proba = pair.classifier.predict_proba(projected)
                 column = list(pair.classifier.classes_).index(pair.code_a)
-                softs[row] = proba[:, column] - 0.5
-                has_soft[row] = True
-        votes = np.zeros((n, n_classes))
-        rows = np.broadcast_to(np.arange(n), (n_pairs, n))
-        np.add.at(votes, (rows.ravel(), winners.ravel()), 1.0)
-        scores_t = np.zeros((n_classes, n))
-        if has_soft.any():
-            np.add.at(scores_t, codes_a[has_soft], softs[has_soft])
-            np.add.at(scores_t, codes_b[has_soft], -softs[has_soft])
-        ranking = votes + 1e-9 * np.tanh(scores_t.T)
-        return np.argmax(ranking, axis=1)
+                margins[row] = proba[:, column] - 0.5
+        return pairwise_vote(
+            [(pair.code_a, pair.code_b) for pair in self._pairs],
+            a_wins,
+            margins,
+            len(self.label_names),
+        )
 
     def score(self, trace_set: TraceSet) -> float:
         """Successful recognition rate on a labelled trace set."""

@@ -717,10 +717,6 @@ class CWT:
                 operator[:, list(columns)] = kernel[lags]
         return operator
 
-    def flatten(self, images: np.ndarray) -> np.ndarray:
-        """Flatten (n, scales, time) images to (n, scales*time) features."""
-        return images.reshape(images.shape[0], -1)
-
 
 @lru_cache(maxsize=16)
 def _cached_operator(n_samples: int, config: CwtConfig) -> CWT:

@@ -11,7 +11,7 @@ matrices at build time:
 
 1. **Feature fold** — the CWT at fixed points is a complex linear
    operator on the trace (:meth:`repro.dsp.cwt.CWT.point_operator`), so
-   reference subtraction + selected-point extraction is one real GEMM
+   selected-point extraction is one real GEMM
    against the stacked ``[Re K | Im K]`` matrix followed by a modulus.
 2. **Projection fold** — the normalizer's affine terms and the PCA basis
    compose into a single ``(n_points, n_components)`` matrix plus an
@@ -61,7 +61,7 @@ class CompileError(RuntimeError):
     """The pipeline/classifier combination cannot be compiled.
 
     Raised for classifiers without a closed discriminant form (SVM,
-    one-vs-one ensembles, k-NN) and for unfitted inputs.  Callers that
+    k-NN) and for unfitted inputs.  Callers that
     compile opportunistically catch this and keep the staged path.
     """
 
@@ -230,7 +230,6 @@ class CompiledPipeline:
         label_names: Optional[Tuple[str, ...]],
         dtype: np.dtype,
         point_matrix: Optional[np.ndarray],
-        point_offset: Optional[np.ndarray],
         times: Optional[np.ndarray],
         magnitude: bool,
         norm_mode: str,
@@ -249,7 +248,6 @@ class CompiledPipeline:
         self.label_names = label_names
         self.dtype = np.dtype(dtype)
         self._point_matrix = point_matrix  # (n_samples, P or 2P) or None
-        self._point_offset = point_offset  # folded reference trace
         self._times = times  # time gather for use_cwt=False
         self._magnitude = magnitude
         self._norm_mode = norm_mode
@@ -271,7 +269,6 @@ class CompiledPipeline:
         classifier,
         label_names: Optional[Sequence[str]] = None,
         dtype="float32",
-        reference: Optional[np.ndarray] = None,
     ) -> "CompiledPipeline":
         """Fold a fitted pipeline and classifier into one artifact.
 
@@ -282,9 +279,6 @@ class CompiledPipeline:
                 integer codes (``LevelModel.label_names``).
             dtype: ``"float32"`` (fast path) or ``"float64"`` (reference
                 twin); all folded matrices are stored in this precision.
-            reference: optional raw reference trace subtracted from every
-                input before feature extraction; folded into a complex
-                offset so serving can pass unsubtracted captures.
 
         Raises:
             CompileError: unfitted inputs or an unsupported classifier.
@@ -307,23 +301,12 @@ class CompiledPipeline:
             magnitude = bool(config.use_cwt and config.cwt.magnitude)
             times = None
             point_matrix = None
-            point_offset = None
             if config.use_cwt:
                 point_matrix = pipeline._folded_points()
-                if reference is not None:
-                    folded_ref = (
-                        np.asarray(reference, dtype=np.float64)
-                        @ point_matrix
-                    )
-                    point_offset = folded_ref
             else:
                 times = np.array(
                     [k for (_, k) in pipeline.points], dtype=np.intp
                 )
-                if reference is not None:
-                    point_offset = np.asarray(reference, dtype=np.float64)[
-                        times
-                    ]
 
             # Normalization affine terms (identity for mode "none").
             if config.normalize == "none":
@@ -370,7 +353,6 @@ class CompiledPipeline:
                 "normalize": config.normalize,
                 "use_cwt": bool(config.use_cwt),
                 "magnitude": magnitude,
-                "has_reference": reference is not None,
             }
             def cast(array):
                 return None if array is None else array.astype(dtype)
@@ -383,7 +365,6 @@ class CompiledPipeline:
                 ),
                 dtype=dtype,
                 point_matrix=cast(point_matrix),
-                point_offset=cast(point_offset),
                 times=times,
                 magnitude=magnitude,
                 norm_mode=config.normalize,
@@ -400,11 +381,6 @@ class CompiledPipeline:
 
     # -- inference -----------------------------------------------------------
     @property
-    def n_components(self) -> int:
-        """Output dimensionality of the folded projection."""
-        return int(self._projection.shape[1])
-
-    @property
     def n_points(self) -> int:
         """Selected DNVP point count folded into the operator."""
         return int(self.meta["n_points"])
@@ -418,13 +394,8 @@ class CompiledPipeline:
                 f"got {batch.shape[1]}"
             )
         if self._times is not None:
-            values = batch[:, self._times]
-            if self._point_offset is not None:
-                values = values - self._point_offset
-            return values
+            return batch[:, self._times]
         product = batch @ self._point_matrix
-        if self._point_offset is not None:
-            product = product - self._point_offset
         if not self._magnitude:
             return product
         n_points = self.meta["n_points"]
@@ -495,15 +466,4 @@ class CompiledPipeline:
         return (
             self.classes_[columns],
             proba[np.arange(len(columns)), columns],
-        )
-
-    def predict_log_proba(
-        self, traces: np.ndarray, adapt: Optional[bool] = None
-    ) -> np.ndarray:
-        """Normalized log posterior (matches the staged classifiers)."""
-        scores = self.decision_scores(traces, adapt=adapt)
-        scores = np.asarray(scores, dtype=np.float64)
-        scores = scores - scores.max(axis=1, keepdims=True)
-        return scores - np.log(
-            np.exp(scores).sum(axis=1, keepdims=True, dtype=np.float64)
         )

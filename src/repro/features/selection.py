@@ -379,10 +379,6 @@ class DnvpSelector:
         """Size of the unified feature set."""
         return len(self.points)
 
-    def extract(self, images: np.ndarray) -> np.ndarray:
-        """Extract unified feature values from CWT images."""
-        return extract_points(images, self.points)
-
 
 def extract_points(images: np.ndarray, points: Sequence[Point]) -> np.ndarray:
     """Gather ``(n_traces, n_points)`` values at time-frequency points."""

@@ -14,7 +14,7 @@ convention — e.g. ``JMP``'s 22-bit ``k`` spreads over both words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 __all__ = ["CompiledPattern", "EncodingError", "compile_pattern"]
 
@@ -73,56 +73,6 @@ class CompiledPattern:
             )
             start = end + 1
         return tuple(runs)
-
-    def encode(self, field_values: Mapping[str, int]) -> Tuple[int, ...]:
-        """Assemble opcode words from raw field values.
-
-        Args:
-            field_values: field letter -> raw (non-negative) field value.
-
-        Returns:
-            Tuple of opcode words.
-
-        Raises:
-            EncodingError: on missing fields or values too wide for the field.
-        """
-        words = list(self.fixed_value)
-        for name, positions in self.fields.items():
-            if name not in field_values:
-                raise EncodingError(f"missing field {name!r}")
-            value = field_values[name]
-            width = len(positions)
-            if not 0 <= value < (1 << width):
-                raise EncodingError(
-                    f"field {name!r} value {value} does not fit in {width} bits"
-                )
-            for i, (word, bit) in enumerate(positions):
-                if (value >> (width - 1 - i)) & 1:
-                    words[word] |= 1 << bit
-        return tuple(words)
-
-    def match(self, words: Sequence[int]) -> Optional[Dict[str, int]]:
-        """Try to decode ``words`` against this pattern.
-
-        Args:
-            words: at least ``n_words`` opcode words starting at the
-                candidate instruction.
-
-        Returns:
-            Field letter -> raw field value on a match, else ``None``.
-        """
-        if len(words) < self.n_words:
-            return None
-        for i in range(self.n_words):
-            if words[i] & self.fixed_mask[i] != self.fixed_value[i]:
-                return None
-        out: Dict[str, int] = {}
-        for name, positions in self.fields.items():
-            value = 0
-            for word, bit in positions:
-                value = (value << 1) | ((words[word] >> bit) & 1)
-            out[name] = value
-        return out
 
 
 def compile_pattern(pattern_words: Iterable[str]) -> CompiledPattern:

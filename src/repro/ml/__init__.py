@@ -11,19 +11,15 @@ from .metrics import (
 )
 from .model_selection import GridSearch, cross_val_score, kfold_indices
 from .naive_bayes import GaussianNB
-from .ovo import OneVsOneClassifier
-from .suffstats import ClassStats
 from .svm import SVC, linear_kernel, rbf_kernel
 
 __all__ = [
-    "ClassStats",
     "Classifier",
     "GaussianHMM",
     "GaussianNB",
     "GridSearch",
     "KNeighborsClassifier",
     "LDA",
-    "OneVsOneClassifier",
     "QDA",
     "SVC",
     "accuracy_score",

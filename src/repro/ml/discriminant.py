@@ -10,12 +10,11 @@ trace count.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .base import Classifier, check_Xy
-from .suffstats import ClassStats
 
 __all__ = ["LDA", "QDA"]
 
@@ -62,33 +61,6 @@ class LDA(Classifier):
             np.asarray(self.priors, dtype=np.float64)
             if self.priors is not None
             else counts / counts.sum()
-        )
-        return self
-
-    def fit_from_stats(
-        self,
-        stats: ClassStats,
-        indices: Sequence[int],
-        shared: Optional[dict] = None,
-    ) -> "LDA":
-        """Fit on a class subset from shared sufficient statistics.
-
-        The pooled scatter of the subset is the sum of the member
-        classes' scatter matrices — identical (bit-for-bit) to
-        :meth:`fit` on the subset's rows, without touching raw data.
-        """
-        indices = list(indices)
-        self.classes_ = stats.classes[indices].copy()
-        self.means_ = stats.means[indices].copy()
-        pooled = stats.scatters[indices].sum(axis=0)
-        n = int(stats.counts[indices].sum())
-        dof = max(n - len(indices), 1)
-        cov = _shrink(pooled / dof, self.shrinkage)
-        self._precision = np.linalg.pinv(cov)
-        self.priors_ = (
-            np.asarray(self.priors, dtype=np.float64)
-            if self.priors is not None
-            else stats.subset_priors(indices)
         )
         return self
 
@@ -160,55 +132,6 @@ class QDA(Classifier):
             np.asarray(self.priors, dtype=np.float64)
             if self.priors is not None
             else counts / counts.sum()
-        )
-        return self
-
-    def prepare_stats_state(self, stats: ClassStats) -> Dict[str, np.ndarray]:
-        """Per-class precisions/log-determinants, computed once.
-
-        A QDA class template (covariance, precision, log-determinant)
-        does not depend on which other classes share the fit, so the
-        expensive per-class linear algebra is shared by every pair
-        classifier assembled from the same statistics.
-        """
-        precisions = []
-        logdets = []
-        for k in range(stats.n_classes):
-            cov = stats.scatters[k] / max(int(stats.counts[k]) - 1, 1)
-            cov = _shrink(cov, self.regularization)
-            sign, logdet = np.linalg.slogdet(cov)
-            if sign <= 0:  # fall back to stronger regularization
-                cov = _shrink(cov, 0.5)
-                _, logdet = np.linalg.slogdet(cov)
-            precisions.append(np.linalg.pinv(cov))
-            logdets.append(logdet)
-        return {
-            "precisions": np.array(precisions),
-            "logdets": np.array(logdets),
-        }
-
-    def fit_from_stats(
-        self,
-        stats: ClassStats,
-        indices: Sequence[int],
-        shared: Optional[dict] = None,
-    ) -> "QDA":
-        """Fit on a class subset from shared sufficient statistics.
-
-        Bit-for-bit equal to :meth:`fit` on the subset's rows; only the
-        priors are subset-specific.
-        """
-        if shared is None:
-            shared = self.prepare_stats_state(stats)
-        indices = list(indices)
-        self.classes_ = stats.classes[indices].copy()
-        self.means_ = stats.means[indices].copy()
-        self.precisions_ = shared["precisions"][indices].copy()
-        self.logdets_ = shared["logdets"][indices].copy()
-        self.priors_ = (
-            np.asarray(self.priors, dtype=np.float64)
-            if self.priors is not None
-            else stats.subset_priors(indices)
         )
         return self
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .base import Classifier, check_Xy
-from .suffstats import ClassStats
 
 __all__ = ["GaussianNB"]
 
@@ -45,35 +44,6 @@ class GaussianNB(Classifier):
             np.asarray(self.priors, dtype=np.float64)
             if self.priors is not None
             else counts / counts.sum()
-        )
-        return self
-
-    def fit_from_stats(
-        self,
-        stats: ClassStats,
-        indices: Sequence[int],
-        shared: Optional[dict] = None,
-    ) -> "GaussianNB":
-        """Fit on a class subset from shared sufficient statistics.
-
-        Per-class means/variances are shared verbatim; the smoothing
-        term (a fraction of the subset's largest pooled feature
-        variance) is recombined from the class moments via the law of
-        total variance — algebraically equal to :meth:`fit` on the
-        subset's rows, with rounding differences only in the ~1e-9-scaled
-        smoothing epsilon.
-        """
-        indices = list(indices)
-        self.classes_ = stats.classes[indices].copy()
-        self.means_ = stats.means[indices].copy()
-        self.vars_ = stats.vars[indices].copy()
-        pooled_max = float(stats.pooled_variance(indices).max())
-        self.vars_ += self.var_smoothing * (pooled_max + 1e-12)
-        self.vars_ = np.maximum(self.vars_, 1e-12)
-        self.priors_ = (
-            np.asarray(self.priors, dtype=np.float64)
-            if self.priors is not None
-            else stats.subset_priors(indices)
         )
         return self
 

@@ -8,8 +8,8 @@ This module implements the same dual problem
 
 with first-order working-set selection (maximal violating pair), the
 standard analytic two-variable update and the usual rho (bias) recovery.
-Multiclass problems are handled one-vs-one with vote + score tie-breaking,
-exactly like LIBSVM.
+Multiclass problems are handled one-vs-one with vote + score tie-breaking
+(:func:`repro.ml.ovo.pairwise_vote`), exactly like LIBSVM.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from ..util.parallel import parallel_map
 from .base import Classifier, check_Xy
+from .ovo import pairwise_vote
 
 __all__ = ["SVC", "linear_kernel", "rbf_kernel"]
 
@@ -138,10 +139,9 @@ class _BinarySVM:
 class _SvmPairFitTask:
     """Picklable per-pair SMO fit job for the worker pool.
 
-    The SMO solve is the expensive, non-shareable part of an SVM
-    ensemble (no sufficient-statistic shortcut exists), so pairs are the
-    natural parallel unit.  Each item is a pair index; the task carries
-    the full data once and slices the pair subset in the worker.
+    The SMO solve is the expensive part of a multiclass SVM, so pairs
+    are the natural parallel unit.  Each item is a pair index; the task
+    carries the full data once and slices the pair subset in the worker.
     """
 
     def __init__(
@@ -231,31 +231,24 @@ class SVC(Classifier):
         )
         return self
 
+    def _margins(self, X: np.ndarray) -> np.ndarray:
+        """Decision values per pair machine, shape ``(n_pairs, n)``."""
+        pairs = sorted(self._machines)
+        margins = [self._machines[p].decision_function(X) for p in pairs]
+        return np.array(margins).reshape(len(pairs), len(X))
+
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         """Pairwise decision values, shape ``(n, n_pairs)``.
 
         For binary problems this is ``(n,)`` with positive values voting
         for ``classes_[0]``.
         """
-        X = check_Xy(X)
-        pairs = sorted(self._machines)
-        values = np.column_stack(
-            [self._machines[p].decision_function(X) for p in pairs]
-        )
-        return values[:, 0] if len(pairs) == 1 else values
+        margins = self._margins(check_Xy(X))
+        return margins[0] if len(margins) == 1 else margins.T
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = check_Xy(X)
-        n_classes = len(self.classes_)
-        votes = np.zeros((len(X), n_classes))
-        scores = np.zeros((len(X), n_classes))
-        for (a, b), machine in self._machines.items():
-            decision = machine.decision_function(X)
-            winner_a = decision > 0
-            votes[winner_a, a] += 1
-            votes[~winner_a, b] += 1
-            scores[:, a] += decision
-            scores[:, b] -= decision
-        # Vote first; break ties with the accumulated margins.
-        ranking = votes + 1e-9 * np.tanh(scores)
-        return self.classes_[np.argmax(ranking, axis=1)]
+        margins = self._margins(check_Xy(X))
+        winners = pairwise_vote(
+            sorted(self._machines), margins > 0, margins, len(self.classes_)
+        )
+        return self.classes_[winners]

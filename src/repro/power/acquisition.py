@@ -27,7 +27,7 @@ from ..isa.groups import classification_classes
 from ..obs import trace as _obs
 from ..sim.cpu import AvrCpu
 from ..sim.state import SRAM_START
-from ..util.knobs import get_flag, get_int
+from ..util.knobs import get_int
 from ..util.parallel import effective_workers, parallel_map, resolve_n_jobs
 from .config import DEFAULT_GEOMETRY, PowerModelConfig, TraceGeometry
 from .dataset import TraceSet
@@ -273,17 +273,15 @@ class Acquisition:
             ``REPRO_N_JOBS`` → serial).  Program files are partitioned by
             their already-derived per-file sub-seeds, so any worker count
             produces bit-for-bit identical traces.
-        faults: capture-fault injector (``None`` → ``REPRO_FAULT_RATE``;
-            off by default).  The averaged reference capture is never
-            faulted — it models the one trace an operator inspects by
-            hand before a campaign.
-        screener: per-trace quality screening.  ``None`` → automatic
-            (screen whenever fault injection is active, unless
-            ``REPRO_FAULT_SCREEN=0``); ``True``/``False`` force it
-            on/off with default thresholds; a :class:`TraceScreener`
-            instance is used as-is.
+        faults: capture-fault injector (``None``: no faults).  The
+            averaged reference capture is never faulted — it models the
+            one trace an operator inspects by hand before a campaign.
+        screener: per-trace quality screening.  ``None`` → screen with
+            default thresholds whenever ``faults`` is given;
+            ``True``/``False`` force it on/off with default thresholds; a
+            :class:`TraceScreener` instance is used as-is.
         retry_policy: re-capture policy for windows that fail screening
-            (``None`` → ``REPRO_FAULT_RETRIES``).
+            (``None`` → :class:`RetryPolicy` defaults, two attempts).
             Re-captures redraw the fault dice per attempt; everything
             stays bit-for-bit reproducible for any worker count.
     """
@@ -322,20 +320,16 @@ class Acquisition:
         self.session = session if session is not None else SessionShift()
         self.reference_subtraction = reference_subtraction
         self.n_jobs = n_jobs
-        self.faults = faults if faults is not None else FaultInjector.from_env()
+        self.faults = faults
         if screener is None:
-            screener = (
-                TraceScreener()
-                if self.faults is not None and get_flag("REPRO_FAULT_SCREEN")
-                else None
-            )
+            screener = TraceScreener() if faults is not None else None
         elif screener is True:
             screener = TraceScreener()
         elif screener is False:
             screener = None
         self.screener: Optional[TraceScreener] = screener
         self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy.from_env()
+            retry_policy if retry_policy is not None else RetryPolicy()
         )
         #: Per-class-label :class:`ScreeningStats`, refreshed by each
         #: capture method (empty while faults + screening are off).

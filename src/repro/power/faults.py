@@ -18,8 +18,7 @@ never produce NaN/inf: real digitizers emit in-range garbage, not
 missing values, and the screening layer (:mod:`repro.power.quality`)
 must earn its detections.
 
-Enable via ``Acquisition(faults=FaultInjector(rate=...))`` or the
-``REPRO_FAULT_RATE`` knob.
+Enable via ``Acquisition(faults=FaultInjector(rate=...))``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..util.knobs import get_float
 from .config import DEFAULT_GEOMETRY, TraceGeometry
 
 __all__ = [
@@ -287,14 +285,6 @@ class FaultInjector:
         )
         if not self.faults:
             raise ValueError("need at least one fault family")
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultInjector"]:
-        """Injector configured by ``REPRO_FAULT_RATE`` (``None`` when 0)."""
-        rate = get_float("REPRO_FAULT_RATE")
-        if rate <= 0.0:
-            return None
-        return cls(rate=min(rate, 1.0))
 
     def corrupt(
         self,

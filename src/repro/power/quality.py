@@ -37,7 +37,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..util.knobs import get_int
 from .faults import FaultContext
 
 __all__ = [
@@ -165,11 +164,6 @@ class RetryPolicy:
     """
 
     max_attempts: int = 2
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Policy configured by ``REPRO_FAULT_RETRIES``."""
-        return cls(max_attempts=get_int("REPRO_FAULT_RETRIES"))
 
 
 def _max_equal_run(windows: np.ndarray) -> np.ndarray:

@@ -146,39 +146,6 @@ KNOBS: Dict[str, Knob] = _declare(
         ),
     ),
     Knob(
-        name="REPRO_FAULT_RATE",
-        kind="float",
-        default=0.0,
-        minimum=0.0,
-        alias="`Acquisition(faults=...)`",
-        default_label="0 (off)",
-        doc=(
-            "per-window probability of injecting a simulated capture "
-            "fault (clipping, trigger misfire, dropout, burst, "
-            "flatline, drift)"
-        ),
-    ),
-    Knob(
-        name="REPRO_FAULT_SCREEN",
-        kind="flag",
-        default=True,
-        alias="`Acquisition(screener=...)`",
-        doc=(
-            "set `0` to disable per-trace quality screening when fault "
-            "injection is active (corrupt traces are then kept)"
-        ),
-    ),
-    Knob(
-        name="REPRO_FAULT_RETRIES",
-        kind="int",
-        default=2,
-        minimum=0,
-        doc=(
-            "re-capture attempts for a trace that fails quality "
-            "screening before it is quarantined"
-        ),
-    ),
-    Knob(
         name="REPRO_OBS",
         kind="flag",
         default=False,

@@ -13,7 +13,6 @@ against the imported registry regardless of the tree under lint.
 """
 
 from pathlib import Path
-from textwrap import dedent
 
 from .test_replint import codes, lint, write
 
@@ -503,7 +502,7 @@ class TestRep012KnobLiveness:
             def log_level(get):
                 return get("REPRO_OBS_LOG_LEVEL", "info")
             def rate(get):
-                return get("REPRO_FAULT_RATE", 0.0)
+                return get("REPRO_CWT_MEM_MB", 256.0)
             ''',
         )
         # A knob a test sets is a read site too.
@@ -517,7 +516,7 @@ class TestRep012KnobLiveness:
         )
         found = [f for f in lint(tmp_path) if f.code == "REP012"]
         by_message = sorted(f.message for f in found)
-        assert any("REPRO_FAULT_RATE" in m and "no Knob" in m
+        assert any("REPRO_CWT_MEM_MB" in m and "no Knob" in m
                    for m in by_message)
         nope = [f for f in found if "REPRO_NOPE" in f.message]
         assert len(nope) == 1 and "no Knob" in nope[0].message

@@ -4,8 +4,6 @@ violation and stay quiet on the compliant twin."""
 from pathlib import Path
 from textwrap import dedent
 
-import pytest
-
 from repro.analysis import run
 from repro.analysis.cli import main
 from repro.analysis.core import parse_suppressions
@@ -76,7 +74,7 @@ class TestRep001KnobRegistry:
             from ..util.knobs import get_flag
             from ..util.env import env_int
             __all__ = ["a", "b"]
-            a = get_flag("REPRO_FAULT_SCREEN")
+            a = get_flag("REPRO_LEDGER")
             b = env_int("REPRO_TEST_WHATEVER", 1)
             ''',
         )
@@ -168,7 +166,7 @@ class TestRep004AccumulationDtype:
     def test_np_function_form_is_flagged(self, tmp_path):
         write(
             tmp_path,
-            "src/repro/ml/suffstats.py",
+            "src/repro/features/moments.py",
             '''
             import numpy as np
             __all__ = ["total"]
@@ -737,7 +735,7 @@ class TestRunnerAndCli:
             main(["--check-docs", "--readme", str(readme), str(clean)]) == 0
         )
         text = readme.read_text(encoding="utf-8")
-        assert "REPRO_FAULT_SCREEN" in text
+        assert "REPRO_PARALLEL_MIN_FILES" in text
         assert text.endswith("tail\n")
 
 

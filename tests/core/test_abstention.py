@@ -16,11 +16,13 @@ class _ProbaClassifier:
         return np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
 
 
-class _DecisionClassifier:
-    classes_ = np.array([0, 1])
+class _PairwiseDecisionClassifier:
+    """SVM shape at three classes: one decision column per class pair."""
+
+    classes_ = np.array([0, 1, 2])
 
     def decision_function(self, features):
-        return np.array([[4.0, 0.0], [0.0, 0.0]])
+        return np.array([[4.0, 0.0, -1.0], [0.0, 0.0, 2.0]])
 
 
 class _BinaryMarginClassifier:
@@ -51,13 +53,13 @@ class TestConfidenceLadder:
         )
         np.testing.assert_allclose(conf, [0.7, 0.8])
 
-    def test_decision_softmax_fallback(self):
+    def test_pairwise_decision_surface_never_abstains(self):
+        # ``n_pairs == n_classes`` at K = 3: the columns are pair margins,
+        # not class scores, so no posterior is read off them.
         conf = _classifier_confidence(
-            _DecisionClassifier(), np.zeros((2, 4)), np.array([0, 1])
+            _PairwiseDecisionClassifier(), np.zeros((2, 4)), np.array([0, 2])
         )
-        expected_first = np.exp(0.0) / (np.exp(0.0) + np.exp(-4.0))
-        assert conf[0] == pytest.approx(expected_first)
-        assert conf[1] == pytest.approx(0.5)
+        np.testing.assert_array_equal(conf, [1.0, 1.0])
 
     def test_binary_margin_fallback(self):
         conf = _classifier_confidence(

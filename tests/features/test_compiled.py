@@ -27,7 +27,7 @@ from repro.features import (
     FeatureConfig,
     FeaturePipeline,
 )
-from repro.ml import LDA, QDA, GaussianNB, OneVsOneClassifier, SVC
+from repro.ml import LDA, QDA, GaussianNB, SVC
 
 
 def synthetic_traces(rng, n_per_class, n_classes=3, n_samples=128):
@@ -237,7 +237,6 @@ class TestArtifact:
         assert meta["n_points"] == pipe.n_points
         assert meta["n_components"] == pipe.n_features
         assert meta["n_classes"] == 3
-        assert compiled.n_components == pipe.n_features
 
     def test_unsupported_classifier_raises(self, single_fit):
         pipe, traces, labels, names = single_fit
@@ -245,9 +244,6 @@ class TestArtifact:
         svc = SVC(max_iter=10).fit(features[:40], labels[:40])
         with pytest.raises(CompileError):
             CompiledPipeline.build(pipe, svc, names)
-        ovo = OneVsOneClassifier(QDA()).fit(features, labels)
-        with pytest.raises(CompileError):
-            CompiledPipeline.build(pipe, ovo, names)
 
     def test_unfitted_pipeline_raises(self):
         pipe = FeaturePipeline(FeatureConfig(cwt=SMALL_CWT))
@@ -279,22 +275,25 @@ class TestLevelModelRouting:
     def test_unsupported_classifier_falls_back(self, single_fit):
         pipe, traces, labels, names = single_fit
         features = pipe.transform(traces)
-        ovo = OneVsOneClassifier(QDA()).fit(features, labels)
-        model = LevelModel(pipeline=pipe, classifier=ovo, label_names=names)
-        staged_pred = ovo.predict(features)
+        svc = SVC().fit(features, labels)
+        model = LevelModel(pipeline=pipe, classifier=svc, label_names=names)
+        staged_pred = svc.predict(features)
         np.testing.assert_array_equal(model.predict(traces), staged_pred)
         assert model.compiled is None
         assert model._compile_failed
         with pytest.raises(CompileError):
             model.compile()
 
-    def test_component_truncation_stays_staged(self, single_fit):
+    def test_three_class_svm_level_reports_certainty(self, single_fit):
+        # A 3-class SVC has as many pair margins as classes; they are
+        # not class scores, so the level never abstains on them.
         pipe, traces, labels, names = single_fit
-        features = pipe.transform(traces)[:, :3]
-        clf = QDA().fit(features, labels)
-        model = LevelModel(pipeline=pipe, classifier=clf, label_names=names)
-        truncated = model.predict(traces, n_components=3)
-        np.testing.assert_array_equal(truncated, clf.predict(features))
+        features = pipe.transform(traces)
+        svc = SVC().fit(features, labels)
+        model = LevelModel(pipeline=pipe, classifier=svc, label_names=names)
+        codes, confidence = model.predict_with_confidence(traces)
+        np.testing.assert_array_equal(codes, svc.predict(features))
+        np.testing.assert_array_equal(confidence, np.ones(len(traces)))
 
     def test_level_model_pickles_with_compiled(self, single_fit):
         pipe, traces, labels, names = single_fit

@@ -15,7 +15,7 @@ from repro.features import (
 )
 from repro.features.kl import PooledGaussian, between_class_field
 from tests.oracles import (
-    StackedClassStats,
+    StackedWaveletStats,
     between_class_kl_matrix,
     dnvp_fit,
     dnvp_pair_selections,
@@ -135,7 +135,7 @@ class TestBetweenClassMatrix:
         rng = np.random.default_rng(11)
         stats = _random_class_stats(rng, n_classes=5)
         names = list(stats)
-        stacked = StackedClassStats.from_stats(stats, names)
+        stacked = StackedWaveletStats.from_stats(stats, names)
         matrix = between_class_kl_matrix(stacked)
         pairs = list(itertools.combinations(names, 2))
         assert matrix.shape[0] == len(pairs)
@@ -150,7 +150,7 @@ class TestBetweenClassMatrix:
         stats = _random_class_stats(rng, n_classes=5)
         names = list(stats)
         stats[names[2]].var[0, :3] = 0.0  # exercise the variance floor
-        matrix = between_class_kl_matrix(StackedClassStats.from_stats(stats))
+        matrix = between_class_kl_matrix(StackedWaveletStats.from_stats(stats))
         gaussians = [PooledGaussian.of(stats[name]) for name in names]
         pairs = itertools.combinations(range(len(names)), 2)
         for row, (a, b) in enumerate(pairs):
@@ -159,7 +159,7 @@ class TestBetweenClassMatrix:
             )
 
     def test_pair_indices_are_combinations_order(self):
-        stacked = StackedClassStats(
+        stacked = StackedWaveletStats(
             names=("a", "b", "c", "d"),
             means=np.zeros((4, 2, 3)),
             vars=np.ones((4, 2, 3)),

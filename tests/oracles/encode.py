@@ -3,7 +3,7 @@
 Maps every operand value to its raw field with
 :func:`repro.isa.operands.to_field`, expands fixed, derived and
 complemented fields with :meth:`InstructionSpec.encode_fields`, and sets
-the pattern's bits one at a time with :meth:`CompiledPattern.encode`.
+the pattern's bits one at a time with :func:`pattern_encode`.
 :meth:`repro.isa.assembler.Instruction.encode` reaches the same words
 through per-spec tables built from the pattern at import.
 """
@@ -11,6 +11,8 @@ through per-spec tables built from the pattern at import.
 from typing import Tuple
 
 from repro.isa import operands as op
+
+from .pattern import pattern_encode
 
 
 def encode(instruction) -> Tuple[int, ...]:
@@ -20,4 +22,4 @@ def encode(instruction) -> Tuple[int, ...]:
         spec_op.field: op.to_field(spec_op.kind, value)
         for spec_op, value in zip(spec.operands, instruction.values)
     }
-    return spec.compiled.encode(spec.encode_fields(fields))
+    return pattern_encode(spec.compiled, spec.encode_fields(fields))

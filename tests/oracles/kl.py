@@ -69,7 +69,7 @@ def dnvp_fit(selector, stats_by_class):
 
 
 @dataclass
-class StackedClassStats:
+class StackedWaveletStats:
     """Per-class pooled statistics stacked into dense class-axis arrays.
 
     The layout the multi-class selection once evaluated every between
@@ -85,7 +85,7 @@ class StackedClassStats:
         cls,
         stats_by_class: Mapping[str, WaveletStats],
         names: Optional[Sequence[str]] = None,
-    ) -> "StackedClassStats":
+    ) -> "StackedWaveletStats":
         """Stack a ``name -> WaveletStats`` mapping (order preserved)."""
         if names is None:
             names = list(stats_by_class)
@@ -106,7 +106,7 @@ class StackedClassStats:
         return np.triu_indices(self.n_classes, k=1)
 
 
-def between_class_kl_matrix(stacked: StackedClassStats) -> np.ndarray:
+def between_class_kl_matrix(stacked: StackedWaveletStats) -> np.ndarray:
     """All ``K(K-1)/2`` between-class fields as one ``(n_pairs, S, T)`` stack.
 
     The stacked evaluation :func:`repro.features.kl.between_class_field`

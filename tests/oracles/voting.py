@@ -62,3 +62,20 @@ def voting_predict(voting, windows):
             scores[:, pair.code_b] -= soft
     ranking = votes + 1e-9 * np.tanh(scores)
     return np.argmax(ranking, axis=1)
+
+
+def svc_predict(svc, X):
+    """Per-pair vote loop of :meth:`repro.ml.svm.SVC.predict`."""
+    X = np.asarray(X, dtype=np.float64)
+    n_classes = len(svc.classes_)
+    votes = np.zeros((len(X), n_classes))
+    scores = np.zeros((len(X), n_classes))
+    for (a, b), machine in svc._machines.items():
+        decision = machine.decision_function(X)
+        winner_a = decision > 0
+        votes[winner_a, a] += 1
+        votes[~winner_a, b] += 1
+        scores[:, a] += decision
+        scores[:, b] -= decision
+    ranking = votes + 1e-9 * np.tanh(scores)
+    return svc.classes_[np.argmax(ranking, axis=1)]

@@ -134,12 +134,3 @@ class TestFaultInjector:
         )
         np.testing.assert_array_equal(out, windows)
         assert applied == [""] * len(windows)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
-        assert FaultInjector.from_env() is None
-        monkeypatch.setenv("REPRO_FAULT_RATE", "0.25")
-        injector = FaultInjector.from_env()
-        assert injector is not None and injector.rate == 0.25
-        monkeypatch.setenv("REPRO_FAULT_RATE", "7")
-        assert FaultInjector.from_env().rate == 1.0

@@ -7,12 +7,11 @@ from repro.power import (
     Acquisition,
     FaultContext,
     FaultInjector,
-    QualityConfig,
     RetryPolicy,
     ScreeningStats,
     TraceScreener,
 )
-from repro.power.quality import ScreenReport, _max_equal_run
+from repro.power.quality import _max_equal_run
 from tests.oracles import max_equal_run
 
 CTX = FaultContext()
@@ -131,10 +130,6 @@ class TestDetectors:
 
 
 class TestRetryPolicy:
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_RETRIES", "5")
-        assert RetryPolicy.from_env().max_attempts == 5
-
     def test_frozen(self):
         policy = RetryPolicy()
         with pytest.raises(Exception):
@@ -209,15 +204,13 @@ class TestAcquisitionIntegration:
         # Labels track surviving windows even when quarantine dropped rows.
         assert len(ts.traces) == len(ts.labels) == len(ts.program_ids)
 
-    def test_screener_auto_enables_with_faults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_SCREEN", raising=False)
+    def test_screener_auto_enables_with_faults(self):
         acq = Acquisition(seed=5, faults=FaultInjector(rate=0.3))
         assert acq.screener is not None
-        monkeypatch.setenv("REPRO_FAULT_SCREEN", "0")
-        acq = Acquisition(seed=5, faults=FaultInjector(rate=0.3))
-        assert acq.screener is None
+        assert Acquisition(
+            seed=5, faults=FaultInjector(rate=0.3), screener=False
+        ).screener is None
         # And off by default when no faults are injected.
-        monkeypatch.delenv("REPRO_FAULT_SCREEN", raising=False)
         assert Acquisition(seed=5).screener is None
 
     def test_retry_zero_quarantines_instead(self):

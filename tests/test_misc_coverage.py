@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.core.malware import GoldenReference
 from repro.core.sequence import SequenceDisassembler
-from repro.dsp import CWT
 from repro.isa import assemble_line, decode_one
 from repro.isa.operands import OperandKind, is_register
 from repro.ml import GaussianHMM
@@ -26,14 +25,6 @@ class TestIsaHelpers:
         assert cpu.decode_at(1)[0].spec.key == "ADD"
         instruction, used = cpu.decode_at(2)
         assert (instruction.key, instruction.values, used) == ("LDS", (4, 0x0100), 2)
-
-
-class TestDspHelpers:
-    def test_cwt_flatten(self):
-        cwt = CWT(64)
-        images = cwt.transform(np.zeros((3, 64)))
-        flat = cwt.flatten(images)
-        assert flat.shape == (3, cwt.config.n_scales * 64)
 
 
 class TestPowerHelpers:

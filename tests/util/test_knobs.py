@@ -82,10 +82,10 @@ class TestGetters:
             assert get_float("REPRO_CWT_MEM_MB") == 1.0
 
     def test_get_flag_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_SCREEN", raising=False)
-        assert get_flag("REPRO_FAULT_SCREEN") is True
-        monkeypatch.setenv("REPRO_FAULT_SCREEN", "0")
-        assert get_flag("REPRO_FAULT_SCREEN") is False
+        monkeypatch.delenv("REPRO_LEDGER", raising=False)
+        assert get_flag("REPRO_LEDGER") is True
+        monkeypatch.setenv("REPRO_LEDGER", "0")
+        assert get_flag("REPRO_LEDGER") is False
 
     def test_get_str_rejects_unknown_choice(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_LOG_LEVEL", "loud")
@@ -98,7 +98,7 @@ class TestGetters:
 
     def test_wrong_kind_getter_raises(self):
         with pytest.raises(TypeError, match="flag"):
-            get_int("REPRO_FAULT_SCREEN")
+            get_int("REPRO_LEDGER")
         with pytest.raises(TypeError, match="int"):
             get_flag("REPRO_PARALLEL_MIN_FILES")
 
